@@ -51,7 +51,10 @@ type Event struct {
 	// Type is one of the Event* constants.
 	Type string `json:"type"`
 	// Phase and Requests carry progress heartbeats ("scan" while the
-	// placement pass reads the trace, "replay" while hosts simulate).
+	// placement pass reads the trace request by request — only for
+	// sources without a pod walk, since generator and scenario sources
+	// place from a timing-only walk that pulls nothing — and "replay"
+	// while hosts simulate).
 	Phase    string `json:"phase,omitempty"`
 	Requests int    `json:"requests,omitempty"`
 	// Row is one sweep evaluation (opt.ResultRow).
@@ -125,15 +128,65 @@ type countingStream struct {
 	n     int
 }
 
+// pulled counts one pulled request, emitting a heartbeat every
+// progressEvery pulls.
+func (c *countingStream) pulled() {
+	c.n++
+	if c.n%progressEvery == 0 {
+		_ = c.rt.Emit(Event{Type: EventProgress, Phase: c.phase, Requests: c.n})
+	}
+}
+
 func (c *countingStream) Next() (trace.Request, bool) {
 	req, ok := c.Stream.Next()
 	if ok {
-		c.n++
-		if c.n%progressEvery == 0 {
-			_ = c.rt.Emit(Event{Type: EventProgress, Phase: c.phase, Requests: c.n})
-		}
+		c.pulled()
 	}
 	return req, ok
+}
+
+// countingInto adds the inner stream's NextInto fast path, so replay
+// pulls move one pointer instead of copying each request by value.
+type countingInto struct {
+	*countingStream
+	into trace.IntoStream
+}
+
+func (c countingInto) NextInto(r *trace.Request) bool {
+	ok := c.into.NextInto(r)
+	if ok {
+		c.pulled()
+	}
+	return ok
+}
+
+// The scanning variants forward the inner stream's pod walk, so the
+// placement pass skips its per-request scan (and its heartbeats).
+type countingScan struct {
+	*countingStream
+	trace.PodScanner
+}
+
+type countingIntoScan struct {
+	countingInto
+	trace.PodScanner
+}
+
+// counting wraps s with progress emission, exposing IntoStream and
+// PodScanner exactly when s does.
+func (rt *Runtime) counting(s trace.Stream, phase string) trace.Stream {
+	c := &countingStream{Stream: s, rt: rt, phase: phase}
+	scan, canScan := s.(trace.PodScanner)
+	is, canInto := s.(trace.IntoStream)
+	switch {
+	case canInto && canScan:
+		return countingIntoScan{countingInto{c, is}, scan}
+	case canInto:
+		return countingInto{c, is}
+	case canScan:
+		return countingScan{c, scan}
+	}
+	return c
 }
 
 // countingSource wraps a source so each opened stream emits progress
@@ -153,7 +206,7 @@ func (rt *Runtime) countingSource(src trace.Source) trace.Source {
 		if opens > 1 {
 			phase = "replay"
 		}
-		return &countingStream{Stream: s, rt: rt, phase: phase}, nil
+		return rt.counting(s, phase), nil
 	}
 }
 

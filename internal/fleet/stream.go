@@ -16,11 +16,13 @@ import (
 // the pod count (placement metadata) and the live simulation state
 // rather than the request count.
 //
-// The pipeline makes two passes over the source. Pass 1 streams the
-// requests once to build per-pod placement metadata (flavor, first
-// arrival, last turnaround end, request count — everything placeAll
-// needs, and nothing per-request), then runs the exact sequential
-// placement pass the batch path runs. Pass 2 re-opens the source and
+// The pipeline makes two passes over the source. Pass 1 builds per-pod
+// placement metadata (flavor, first arrival, last turnaround end,
+// request count — everything placeAll needs, and nothing per-request),
+// then runs the exact sequential placement pass the batch path runs.
+// Generator and scenario sources hand that metadata over from a
+// timing-only pod walk (trace.PodScanner); only recorded traces are
+// scanned request by request. Pass 2 re-opens the source and
 // routes each request, still in global arrival order, into per-shard
 // bounded channels; shard workers advance their hosts' private clocks
 // concurrently with generation, so host simulation overlaps trace
@@ -106,16 +108,17 @@ func (ix *podIndex) get(id int) *pod {
 	return ix.byID[id]
 }
 
-// scanPods streams the trace once and builds the placement metadata:
-// every pod in order of first arrival, with its flavor, extent, and
-// request count — but no per-request state. When the stream can
-// enumerate its pods directly (trace.PodScanner — calibrated generator
+// scanPods builds the placement metadata: every pod in order of first
+// arrival, with its flavor, extent, and request count — but no
+// per-request state. When the stream can enumerate its pods directly
+// (trace.PodScanner — calibrated generator and compiled scenario
 // streams can, from a timing-only walk), the per-request scan is
-// skipped entirely; the metadata is identical by the generator's
+// skipped entirely; the metadata is identical by the generators'
 // contract, which TestPodScanMatchesRequestScan pins. Otherwise it
-// enforces the same input contract as the batch path's buildPods:
-// requests sorted by arrival, per-pod flavors constant. Cancelling ctx
-// stops the scan within cancelCheckMask+1 pulls.
+// streams the trace once and enforces the same input contract as the
+// batch path's buildPods: requests sorted by arrival, per-pod flavors
+// constant. Cancelling ctx stops that scan within cancelCheckMask+1
+// pulls.
 func scanPods(ctx context.Context, s trace.Stream) ([]*pod, int, error) {
 	if sc, ok := s.(trace.PodScanner); ok {
 		metas := sc.PodScan()
@@ -145,7 +148,8 @@ func scanPods(ctx context.Context, s trace.Stream) ([]*pod, int, error) {
 }
 
 // scanPodsSlow is the per-request fallback scan for streams that cannot
-// enumerate their pods (recorded traces, scenario-re-timed streams).
+// enumerate their pods: recorded traces, and any stream wrapped without
+// forwarding its pod walk.
 func scanPodsSlow(ctx context.Context, s trace.Stream) ([]*pod, int, error) {
 	byID := make(map[int]*pod)
 	var pods []*pod
@@ -297,7 +301,11 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 	for i := range shards {
 		shards[i] = make(chan []streamItem, streamChannelDepth)
 	}
-	batchPool := sync.Pool{New: func() any { return make([]streamItem, 0, streamBatchSize) }}
+	// free recycles batches between the feeder and the workers. Unlike a
+	// sync.Pool it is local to this call, so the batches — and the pods
+	// their stale items point at — die with the simulation instead of
+	// surviving into the next collections.
+	free := make(chan []streamItem, workers*(streamChannelDepth+2))
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -316,7 +324,10 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 					}
 					sim.feed(it.p, &it.r)
 				}
-				batchPool.Put(batch[:0]) //nolint:staticcheck // slice reuse is the point
+				select {
+				case free <- batch[:0]:
+				default:
+				}
 			}
 			for h, sim := range sims {
 				results[h] = sim.finish()
@@ -356,7 +367,11 @@ func SimulateStream(ctx context.Context, cfg Config, src trace.Source) (Report, 
 		sh := p.host % workers
 		b := batches[sh]
 		if b == nil {
-			b = batchPool.Get().([]streamItem)
+			select {
+			case b = <-free:
+			default:
+				b = make([]streamItem, 0, streamBatchSize)
+			}
 		}
 		b = append(b, streamItem{p: p, r: r})
 		if len(b) >= streamBatchSize {

@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -366,24 +368,31 @@ func TestSimulateStreamCancelBounded(t *testing.T) {
 	}
 }
 
-// TestPodScanMatchesRequestScan pins the PodScanner fast path: the pod
-// metadata a calibrated generator stream enumerates from its timing-only
-// walk must exactly equal what the per-request fallback scan
+// hiddenScanSource wraps every opening of src in a Next-only stream,
+// hiding its pod walk (and NextInto) so the simulator's placement pass
+// falls back to the per-request scan.
+func hiddenScanSource(src trace.Source) trace.Source {
+	return func() (trace.Stream, error) {
+		s, err := src()
+		if err != nil {
+			return nil, err
+		}
+		return struct{ trace.Stream }{s}, nil
+	}
+}
+
+// checkPodScan asserts that src's openings enumerate their pods and that
+// the enumeration equals what the per-request fallback scan
 // reconstructs from the emitted requests — same pods, same order, same
 // flavors, extents, and request counts.
-func TestPodScanMatchesRequestScan(t *testing.T) {
-	cfg := trace.DefaultGeneratorConfig()
-	cfg.Requests = 20000
-	cfg.Functions = 150
-	cfg.Seed = 99
-	src := trace.GenerateSource(cfg)
-
+func checkPodScan(t *testing.T, src trace.Source) {
+	t.Helper()
 	s1, err := src()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s1.(trace.PodScanner); !ok {
-		t.Fatal("calibrated generator stream does not implement PodScanner")
+		t.Fatalf("%T does not implement PodScanner", s1)
 	}
 	fast, fastTotal, err := scanPods(context.Background(), s1)
 	if err != nil {
@@ -411,5 +420,102 @@ func TestPodScanMatchesRequestScan(t *testing.T) {
 			f.initMs != s.initMs || f.first != s.first || f.last != s.last || f.nreqs != s.nreqs {
 			t.Fatalf("pod %d differs:\nfast: %+v\nslow: %+v", i, *f, *s)
 		}
+	}
+}
+
+// TestPodScanMatchesRequestScan pins the PodScanner fast path on every
+// source that has one: a calibrated generator stream, and a compiled
+// plan of every catalog scenario at two sizes, authored and fanned out
+// into a multi-tenant mix. The timing-only walk must reproduce the
+// per-request scan pod by pod.
+func TestPodScanMatchesRequestScan(t *testing.T) {
+	t.Run("generator", func(t *testing.T) {
+		cfg := trace.DefaultGeneratorConfig()
+		cfg.Requests = 20000
+		cfg.Functions = 150
+		cfg.Seed = 99
+		checkPodScan(t, trace.GenerateSource(cfg))
+	})
+	for _, sc := range scenario.Catalog() {
+		for _, n := range []int{2000, 50000} {
+			for _, tenants := range []int{1, 3} {
+				sc, n, tenants := sc, n, tenants
+				t.Run(fmt.Sprintf("%s/requests=%d/tenants=%d", sc.Name, n, tenants), func(t *testing.T) {
+					scfg := scenario.DefaultConfig()
+					scfg.Base.Requests = n
+					scfg.Base.Seed = 7
+					scfg.Tenants = tenants
+					plan, err := sc.Compile(scfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkPodScan(t, plan.Source())
+				})
+			}
+		}
+	}
+	// A one-nanosecond horizon collapses every function's first gap
+	// below a nanosecond, so pods of different functions and tenants
+	// open at the same instant: the walk must order the ties as the
+	// merge does.
+	t.Run("exact-ties", func(t *testing.T) {
+		sc, _ := scenario.ByName("multi-tenant")
+		scfg := scenario.DefaultConfig()
+		scfg.Base.Requests = 5000
+		scfg.Horizon = time.Nanosecond
+		plan, err := sc.Compile(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := plan.Source()()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pods := s.(trace.PodScanner).PodScan()
+		if len(pods) < 2 || pods[0].First != pods[1].First {
+			t.Fatal("test construction broken: no tie between the first two pods")
+		}
+		checkPodScan(t, plan.Source())
+	})
+}
+
+// TestPlanPodScanReportByteEqual pins the pod walk end to end: a plan
+// simulated through its walk reports byte-for-byte what it reports
+// when the walk is hidden and placement scans every request.
+func TestPlanPodScanReportByteEqual(t *testing.T) {
+	for _, sc := range scenario.Catalog() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			scfg := scenario.DefaultConfig()
+			scfg.Base.Requests = 4000
+			scfg.Tenants = 2
+			plan, err := sc.Compile(scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				walked, err := SimulatePlanStream(context.Background(), streamTestConfig(t, "least-loaded", workers), plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanned, err := SimulateStream(context.Background(), streamTestConfig(t, "least-loaded", workers),
+					hiddenScanSource(plan.Source()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				scanned.Scenario = plan.Name()
+				a, err := json.Marshal(walked)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(scanned)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(a, b) {
+					t.Fatalf("workers=%d: walked and scanned reports differ:\nwalked:  %s\nscanned: %s", workers, a, b)
+				}
+			}
+		})
 	}
 }

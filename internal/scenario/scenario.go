@@ -312,20 +312,10 @@ func retime(tr *trace.Trace, shape Shape, horizon time.Duration, seed uint64) {
 
 	for _, fn := range fns {
 		idxs := byFn[fn]
-		rng := stats.NewRand(mix(seed, uint64(fn)+1))
-		gapMean := h / float64(len(idxs))
-		t := 0.0 // seconds
+		rn := newRenewal(shape, mean, h, seed, fn, len(idxs))
 		for _, ri := range idxs {
-			x := t / h
-			x -= math.Floor(x)
-			lam := shape.Rate(x) / mean
-			if lam < intensityFloor || math.IsNaN(lam) {
-				lam = intensityFloor
-			}
-			t += rng.Exp(gapMean / lam)
 			r := &tr.Requests[ri]
-			r.Start = time.Duration(t * float64(time.Second))
-			t += r.Duration.Seconds()
+			r.Start = rn.next(r.Duration)
 		}
 	}
 	// Ties (same-nanosecond re-timed arrivals from different functions)

@@ -256,176 +256,113 @@ func utilSeed(seed uint64, fn int) uint64 {
 	return stats.MixSeed(stats.MixSeed(seed, 2), uint64(fn))
 }
 
-// fnEmitter generates one function's request block pod by pod. Both the
-// materialized path (Generate) and the streaming path (GenerateStream,
-// GenerateByFunction) drive their draws through this one type, so the
-// pseudo-random draw order — and therefore the emitted trace — is
-// identical by construction.
-type fnEmitter struct {
-	timing    *stats.Rand // pod/arrival/duration stream
-	util      *stats.Rand // per-request utilization stream
-	p         fnProfile
-	fn        int
-	corr      float64 // cfg.UtilCorrelation
-	remaining int
+// timingCursor is one function's per-request timing step over its
+// private timing stream: pod boundary, cold-start init, raw duration,
+// and arrival advance. It is the single owner of the timing draw
+// order — full emission (fnEmitter), the calibration sweep, and the
+// pod walks (TimingCursor) all advance it — so every generation path
+// agrees on the trace's shape by construction.
+type timingCursor struct {
+	rng       stats.Rand
+	p         *fnProfile
+	remaining int     // requests not yet assigned to a pod
+	podLeft   int     // requests still to emit from the current pod
 	arrival   float64 // ms offset of the next request
-	podID     int     // id of the most recently generated pod (global numbering)
-
-	podLeft  int     // requests still to emit from the current pod
-	podFirst bool    // next emission is the pod's cold-start request
-	initMs   float64 // current pod's initialization draw
+	podID     int     // id of the most recently opened pod (global numbering)
+	initMs    float64 // current pod's initialization draw
 }
 
-// newFnEmitter positions an emitter at the start of function fn's
-// generation block, deriving the function's private streams from the
-// trace seed. It consumes the block-leading arrival-offset draw.
-func newFnEmitter(seed uint64, fn int, p fnProfile, count int, corr float64, podBase int) *fnEmitter {
-	timing := stats.NewRand(timingSeed(seed, fn))
-	return &fnEmitter{
-		timing:    timing,
-		util:      stats.NewRand(utilSeed(seed, fn)),
-		p:         p,
-		fn:        fn,
-		corr:      corr,
-		remaining: count,
-		arrival:   timing.Uniform(0, 60_000), // ms offset for function's first pod
-		podID:     podBase,
-	}
+// newTimingCursor positions a cursor at the start of function fn's
+// generation block. It consumes the block-leading arrival-offset draw.
+func newTimingCursor(seed uint64, fn int, p *fnProfile, count, podBase int) timingCursor {
+	c := timingCursor{rng: *stats.NewRand(timingSeed(seed, fn)), p: p, remaining: count, podID: podBase}
+	c.arrival = c.rng.Uniform(0, 60_000) // ms offset for function's first pod
+	return c
 }
 
-// next writes the function's next raw (unrescaled) request into *r and
-// reports whether one was emitted; the function's request budget
-// exhausts to false. Within a pod, requests are emitted in strictly
-// increasing arrival order, and consecutive pods never move backwards
-// in time, so a function's whole emission is time-ordered. Emitting
-// straight into the caller's Request keeps the hot path free of
-// per-pod buffers (and their reallocation churn).
-//
-// The timing draws here (pod size, init, durations, think times, gap)
-// must stay in lockstep with timingEmitter.nextPod, which walks the
-// same stream without materializing requests.
-func (e *fnEmitter) next(r *Request) bool {
-	if e.podLeft == 0 {
-		if e.remaining <= 0 {
-			return false
+// step draws the function's next request timing: its arrival and raw
+// (unrescaled) duration in milliseconds, and whether it opens a pod —
+// whose id and initialization draw are then c.podID and c.initMs. It
+// reports false once the function's request budget is spent. Within a
+// pod arrivals strictly increase, and consecutive pods never move
+// backwards in time, so a function's whole emission is time-ordered.
+func (c *timingCursor) step() (arrivalMs, durMs float64, cold, ok bool) {
+	if c.podLeft == 0 {
+		if c.remaining <= 0 {
+			return 0, 0, false, false
 		}
-		e.podID++
-		size := podSize(e.timing, e.p.podSizeMean)
-		if size > e.remaining {
-			size = e.remaining
+		c.podID++
+		size := podSize(&c.rng, c.p.podSizeMean)
+		if size > c.remaining {
+			size = c.remaining
 		}
-		e.initMs = math.Max(20, e.timing.Normal(e.p.initMs, e.p.initMs*0.25))
-		e.podLeft = size
-		e.podFirst = true
-		e.remaining -= size
+		c.initMs = math.Max(20, c.rng.Normal(c.p.initMs, c.p.initMs*0.25))
+		c.podLeft = size
+		c.remaining -= size
+		cold = true
 	}
-	durMs := e.timing.LogNormal(e.p.logMeanDur, e.p.sigma)
+	durMs = c.rng.LogNormal(c.p.logMeanDur, c.p.sigma)
 	if durMs < 0.05 {
 		durMs = 0.05
 	}
-	cpuU, memU := correlatedUtils(e.util, &e.p, e.corr)
-	*r = Request{
-		FnID:       e.fn,
-		PodID:      e.podID,
-		Start:      time.Duration(e.arrival * float64(time.Millisecond)),
-		Duration:   time.Duration(durMs * float64(time.Millisecond)),
-		AllocCPU:   e.p.flavor.VCPU,
-		AllocMemMB: e.p.flavor.MemMB,
-		MemUsedMB:  memU * e.p.flavor.MemMB,
-	}
-	r.CPUTime = time.Duration(cpuU * e.p.flavor.VCPU * durMs * float64(time.Millisecond))
-	if e.podFirst {
-		r.ColdStart = true
-		r.InitDuration = time.Duration(e.initMs * float64(time.Millisecond))
-		e.podFirst = false
-	}
+	arrivalMs = c.arrival
 	// Next arrival within the pod: short think time keeps the pod warm;
 	// occasionally long gaps end pods in reality but pod membership is
 	// already decided here.
-	e.arrival += durMs + e.timing.Exp(200)
-	e.podLeft--
-	if e.podLeft == 0 {
-		e.arrival += e.timing.Exp(2000) // idle gap between pods
+	c.arrival += durMs + c.rng.Exp(200)
+	c.podLeft--
+	if c.podLeft == 0 {
+		c.arrival += c.rng.Exp(2000) // idle gap between pods
+	}
+	return arrivalMs, durMs, cold, true
+}
+
+// fnEmitter generates one function's raw (unrescaled) requests: the
+// timing step plus the per-request utilization draws from the
+// function's second private stream. Both the materialized path
+// (Generate) and the streaming path (FunctionStream) emit through it,
+// so the emitted trace is identical by construction.
+type fnEmitter struct {
+	timingCursor
+	util stats.Rand
+	fn   int
+	corr float64 // cfg.UtilCorrelation
+}
+
+func newFnEmitter(seed uint64, fn int, p *fnProfile, count int, corr float64, podBase int) fnEmitter {
+	return fnEmitter{
+		timingCursor: newTimingCursor(seed, fn, p, count, podBase),
+		util:         *stats.NewRand(utilSeed(seed, fn)),
+		fn:           fn,
+		corr:         corr,
+	}
+}
+
+// next writes the function's next raw request into *r and reports
+// whether one was emitted. Emitting straight into the caller's Request
+// keeps the hot path free of per-pod buffers.
+func (e *fnEmitter) next(r *Request) bool {
+	arrivalMs, durMs, cold, ok := e.step()
+	if !ok {
+		return false
+	}
+	cpuU, memU := correlatedUtils(&e.util, e.p, e.corr)
+	f := e.p.flavor
+	*r = Request{
+		FnID:       e.fn,
+		PodID:      e.podID,
+		Start:      time.Duration(arrivalMs * float64(time.Millisecond)),
+		Duration:   time.Duration(durMs * float64(time.Millisecond)),
+		AllocCPU:   f.VCPU,
+		AllocMemMB: f.MemMB,
+		MemUsedMB:  memU * f.MemMB,
+	}
+	r.CPUTime = time.Duration(cpuU * f.VCPU * durMs * float64(time.Millisecond))
+	if cold {
+		r.ColdStart = true
+		r.InitDuration = time.Duration(e.initMs * float64(time.Millisecond))
 	}
 	return true
-}
-
-// timingEmitter walks a function's timing stream without drawing
-// utilizations or materializing requests: the shape of the emission —
-// pod boundaries, arrivals, truncated durations — at a fraction of full
-// generation's cost. The calibration sweep (scale == 0) and the
-// pod-metadata scan (scale > 0) both use it; its draw sequence must
-// stay in lockstep with fnEmitter.nextPod's timing draws.
-type timingEmitter struct {
-	rng       *stats.Rand
-	p         fnProfile
-	remaining int
-	arrival   float64
-}
-
-func newTimingEmitter(seed uint64, fn int, p fnProfile, count int) *timingEmitter {
-	rng := stats.NewRand(timingSeed(seed, fn))
-	return &timingEmitter{
-		rng:       rng,
-		p:         p,
-		remaining: count,
-		arrival:   rng.Uniform(0, 60_000),
-	}
-}
-
-// podShape is one pod's placement-relevant extent from a timing walk.
-type podShape struct {
-	first    time.Duration
-	init     time.Duration
-	last     time.Duration // latest request turnaround end, scaled
-	nreqs    int
-	durSumMs float64 // sum of truncated raw durations, for calibration
-}
-
-// nextPod walks one pod. With scale > 0 the reported last applies the
-// duration rescale exactly as FunctionStream.Next does (scaling the
-// nanosecond-truncated duration, flooring at 1µs); durSumMs always
-// accumulates the raw truncated durations rescaleDurations averages.
-func (e *timingEmitter) nextPod(scale float64) (podShape, bool) {
-	if e.remaining <= 0 {
-		return podShape{}, false
-	}
-	size := podSize(e.rng, e.p.podSizeMean)
-	if size > e.remaining {
-		size = e.remaining
-	}
-	initMs := math.Max(20, e.rng.Normal(e.p.initMs, e.p.initMs*0.25))
-	sh := podShape{
-		first: time.Duration(e.arrival * float64(time.Millisecond)),
-		init:  time.Duration(initMs * float64(time.Millisecond)),
-		nreqs: size,
-	}
-	for j := 0; j < size; j++ {
-		durMs := e.rng.LogNormal(e.p.logMeanDur, e.p.sigma)
-		if durMs < 0.05 {
-			durMs = 0.05
-		}
-		raw := time.Duration(durMs * float64(time.Millisecond))
-		sh.durSumMs += float64(raw) / float64(time.Millisecond)
-		dur := raw
-		if scale > 0 {
-			dur = time.Duration(float64(raw) * scale)
-			if dur <= 0 {
-				dur = time.Microsecond
-			}
-		}
-		end := time.Duration(e.arrival*float64(time.Millisecond)) + dur
-		if j == 0 {
-			end += sh.init
-		}
-		if end > sh.last {
-			sh.last = end
-		}
-		e.arrival += durMs + e.rng.Exp(200)
-	}
-	e.remaining -= size
-	e.arrival += e.rng.Exp(2000)
-	return sh, true
 }
 
 // Generate produces a synthetic trace under cfg. The result is sorted by
@@ -442,8 +379,8 @@ func Generate(cfg GeneratorConfig) *Trace {
 
 	reqs := make([]Request, 0, cfg.Requests)
 	podBase := 0
-	for fn, p := range profiles {
-		e := newFnEmitter(cfg.Seed, fn, p, counts[fn], cfg.UtilCorrelation, podBase)
+	for fn := range profiles {
+		e := newFnEmitter(cfg.Seed, fn, &profiles[fn], counts[fn], cfg.UtilCorrelation, podBase)
 		var r Request
 		for e.next(&r) {
 			reqs = append(reqs, r)
@@ -532,10 +469,17 @@ func rescaleDurations(reqs []Request, targetMs float64) {
 	}
 	k := targetMs / mean
 	for i := range reqs {
-		reqs[i].Duration = time.Duration(float64(reqs[i].Duration) * k)
+		reqs[i].Duration = rescaled(reqs[i].Duration, k)
 		reqs[i].CPUTime = time.Duration(float64(reqs[i].CPUTime) * k)
-		if reqs[i].Duration <= 0 {
-			reqs[i].Duration = time.Microsecond
-		}
 	}
+}
+
+// rescaled scales one duration by the rescale factor k, flooring the
+// result at one microsecond. Every path that rescales a duration goes
+// through it, so they all agree to the nanosecond.
+func rescaled(d time.Duration, k float64) time.Duration {
+	if d = time.Duration(float64(d) * k); d <= 0 {
+		d = time.Microsecond
+	}
+	return d
 }

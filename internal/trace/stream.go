@@ -1,7 +1,8 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"slscost/internal/stats"
@@ -38,18 +39,26 @@ type IntoStream interface {
 // NextIntoFunc returns the stream's NextInto method when it has one, or
 // an adapter over Next. Hot consumers resolve the fast path once and
 // call through the returned func per request.
-func NextIntoFunc(s Stream) func(*Request) bool {
+func NextIntoFunc(s Stream) func(*Request) bool { return asInto(s).NextInto }
+
+// asInto returns s's IntoStream face, adapting a Next-only stream.
+func asInto(s Stream) IntoStream {
 	if is, ok := s.(IntoStream); ok {
-		return is.NextInto
+		return is
 	}
-	return func(r *Request) bool {
-		rr, ok := s.Next()
-		if !ok {
-			return false
-		}
-		*r = rr
-		return true
+	return intoAdapter{s}
+}
+
+// intoAdapter gives a Next-only stream a NextInto method.
+type intoAdapter struct{ Stream }
+
+func (a intoAdapter) NextInto(r *Request) bool {
+	rr, ok := a.Next()
+	if !ok {
+		return false
 	}
+	*r = rr
+	return true
 }
 
 // Source produces a fresh Stream positioned at the beginning. The
@@ -116,14 +125,13 @@ func Collect(s Stream) *Trace {
 // FunctionStream's requests are bit-identical to the matching subset of
 // Generate's output.
 type FunctionStream struct {
-	fn    int
+	em    fnEmitter
 	count int
 	scale float64 // duration rescale factor; 0 disables rescaling
-	em    *fnEmitter
 }
 
 // FnID returns the function the stream belongs to.
-func (f *FunctionStream) FnID() int { return f.fn }
+func (f *FunctionStream) FnID() int { return f.em.fn }
 
 // Len returns the total number of requests the stream will yield.
 func (f *FunctionStream) Len() int { return f.count }
@@ -143,13 +151,59 @@ func (f *FunctionStream) NextInto(r *Request) bool {
 	}
 	if f.scale > 0 {
 		// Mirror rescaleDurations exactly: scale wall clock and CPU time
-		// by the same factor (preserving utilization rates) and floor the
-		// result at one microsecond.
-		r.Duration = time.Duration(float64(r.Duration) * f.scale)
+		// by the same factor, preserving utilization rates.
+		r.Duration = rescaled(r.Duration, f.scale)
 		r.CPUTime = time.Duration(float64(r.CPUTime) * f.scale)
-		if r.Duration <= 0 {
-			r.Duration = time.Microsecond
-		}
+	}
+	return true
+}
+
+// Timing is one request's timing as a TimingCursor walks it: the
+// fields of the matching Request that placement and re-timing read,
+// and none of the utilizations. Duration is already rescaled.
+type Timing struct {
+	PodID        int
+	Start        time.Duration
+	Duration     time.Duration
+	ColdStart    bool
+	InitDuration time.Duration // zero unless ColdStart
+}
+
+// TimingCursor walks one function's requests in generation order
+// without drawing utilizations or building Requests: the trace's shape
+// at a fraction of emission's cost. It advances the same timing step
+// FunctionStream emits through, so every Timing equals the matching
+// FunctionStream request's fields bit for bit.
+type TimingCursor struct {
+	c     timingCursor
+	count int
+	scale float64
+}
+
+// Len returns the total number of requests the cursor will walk.
+func (t *TimingCursor) Len() int { return t.count }
+
+// Flavor returns the function's sandbox flavor.
+func (t *TimingCursor) Flavor() Flavor { return t.c.p.flavor }
+
+// Next writes the function's next request timing into *out and
+// reports whether there was one.
+func (t *TimingCursor) Next(out *Timing) bool {
+	arrivalMs, durMs, cold, ok := t.c.step()
+	if !ok {
+		return false
+	}
+	*out = Timing{
+		PodID:     t.c.podID,
+		Start:     time.Duration(arrivalMs * float64(time.Millisecond)),
+		Duration:  time.Duration(durMs * float64(time.Millisecond)),
+		ColdStart: cold,
+	}
+	if t.scale > 0 {
+		out.Duration = rescaled(out.Duration, t.scale)
+	}
+	if cold {
+		out.InitDuration = time.Duration(t.c.initMs * float64(time.Millisecond))
 	}
 	return true
 }
@@ -189,14 +243,27 @@ func Calibrate(cfg GeneratorConfig) *Calibration {
 		counts:   counts,
 		podBases: make([]int, cfg.Functions),
 	}
-	var durSumMs float64
+	// Raw durations are truncated to nanoseconds, as emission does, and
+	// summed per pod before the pod sums are totalled.
+	var durSumMs, podSumMs float64
 	pods := 0
-	for fn, p := range profiles {
+	for fn := range profiles {
 		c.podBases[fn] = pods
-		e := newTimingEmitter(cfg.Seed, fn, p, counts[fn])
-		for sh, ok := e.nextPod(0); ok; sh, ok = e.nextPod(0) {
-			durSumMs += sh.durSumMs
-			pods++
+		tc := newTimingCursor(cfg.Seed, fn, &profiles[fn], counts[fn], pods)
+		for {
+			_, durMs, cold, ok := tc.step()
+			if !ok || cold {
+				durSumMs += podSumMs
+				podSumMs = 0
+			}
+			if !ok {
+				break
+			}
+			if cold {
+				pods++
+			}
+			raw := time.Duration(durMs * float64(time.Millisecond))
+			podSumMs += float64(raw) / float64(time.Millisecond)
 		}
 	}
 	if mean := durSumMs / float64(cfg.Requests); mean > 0 {
@@ -209,19 +276,34 @@ func Calibrate(cfg GeneratorConfig) *Calibration {
 // Pods returns the total pod count of the calibrated trace.
 func (c *Calibration) Pods() int { return c.pods }
 
+// Functions returns the calibrated trace's function count.
+func (c *Calibration) Functions() int { return len(c.profiles) }
+
+// TimingCursor returns a fresh timing walk over function fn, positioned
+// at its beginning.
+func (c *Calibration) TimingCursor(fn int) TimingCursor {
+	return TimingCursor{
+		c:     newTimingCursor(c.cfg.Seed, fn, &c.profiles[fn], c.counts[fn], c.podBases[fn]),
+		count: c.counts[fn],
+		scale: c.scale,
+	}
+}
+
 // Streams instantiates one fresh time-ordered stream per function,
 // each positioned at its function's beginning (emitters re-derive the
 // per-function streams from the seed, so repeated calls yield
-// independent, identical openings).
+// independent, identical openings). The streams share one backing
+// allocation.
 func (c *Calibration) Streams() []*FunctionStream {
-	out := make([]*FunctionStream, len(c.profiles))
-	for fn, p := range c.profiles {
-		out[fn] = &FunctionStream{
-			fn:    fn,
+	fs := make([]FunctionStream, len(c.profiles))
+	out := make([]*FunctionStream, len(fs))
+	for fn := range fs {
+		fs[fn] = FunctionStream{
+			em:    newFnEmitter(c.cfg.Seed, fn, &c.profiles[fn], c.counts[fn], c.cfg.UtilCorrelation, c.podBases[fn]),
 			count: c.counts[fn],
 			scale: c.scale,
-			em:    newFnEmitter(c.cfg.Seed, fn, p, c.counts[fn], c.cfg.UtilCorrelation, c.podBases[fn]),
 		}
+		out[fn] = &fs[fn]
 	}
 	return out
 }
@@ -229,15 +311,17 @@ func (c *Calibration) Streams() []*FunctionStream {
 // Stream instantiates a fresh merged stream over the whole calibrated
 // trace. The result implements PodScanner: the streaming cluster
 // simulator's placement pass reads pod metadata from a timing-only
-// walk instead of generating (and discarding) every request.
+// walk instead of generating (and discarding) every request, and the
+// merge is only built once the stream is first pulled.
 func (c *Calibration) Stream() Stream {
-	fns := c.Streams()
-	srcs := make([]Stream, len(fns))
-	for i, f := range fns {
-		srcs[i] = f
-	}
-	m := Merge(srcs...)
-	return &calStream{Stream: m, into: NextIntoFunc(m), c: c}
+	return LazyScanStream(c.PodMetas, func() IntoStream {
+		fns := c.Streams()
+		srcs := make([]Stream, len(fns))
+		for i, f := range fns {
+			srcs[i] = f
+		}
+		return Merge(srcs...)
+	})
 }
 
 // PodMeta describes one sandbox of a generated trace: identity, flavor,
@@ -264,17 +348,44 @@ type PodScanner interface {
 	PodScan() []PodMeta
 }
 
-// calStream is the calibrated merged stream; it adds the PodScan fast
-// path to the plain merge and forwards the merge's NextInto.
-type calStream struct {
-	Stream
-	into func(*Request) bool
-	c    *Calibration
+// AddTiming folds one request of function fn (flavor f) into pods, a
+// pod table built in generation order: a cold start opens a new pod,
+// and every request extends the latest pod's last turnaround end and
+// request count — what a per-request scan records per pod.
+func AddTiming(pods []PodMeta, fn int, f Flavor, t *Timing) []PodMeta {
+	end := t.Start + t.Duration + t.InitDuration
+	if t.ColdStart {
+		pods = append(pods, PodMeta{
+			ID:    t.PodID,
+			FnID:  fn,
+			VCPU:  f.VCPU,
+			MemMB: f.MemMB,
+			Init:  t.InitDuration,
+			First: t.Start,
+			Last:  end,
+		})
+	}
+	p := &pods[len(pods)-1]
+	if end > p.Last {
+		p.Last = end
+	}
+	p.NReqs++
+	return pods
 }
 
-func (s *calStream) NextInto(r *Request) bool { return s.into(r) }
-
-func (s *calStream) PodScan() []PodMeta { return s.c.PodMetas() }
+// SortPods puts a pod table into first-appearance order of the merged
+// stream: ascending first arrival, ties to the lower pod ID. That is
+// the merge's order whenever pod IDs ascend with the merge's source
+// order and a source's pods never start at the same instant — IDs are
+// function-major and the merge breaks ties toward the lower source.
+func SortPods(pods []PodMeta) {
+	slices.SortFunc(pods, func(a, b PodMeta) int {
+		if c := cmp.Compare(a.First, b.First); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+}
 
 // PodMetas walks every function's timing stream and returns the pods of
 // the calibrated trace in order of first arrival — the order a full
@@ -283,34 +394,46 @@ func (s *calStream) PodScan() []PodMeta { return s.c.PodMetas() }
 // slice is freshly built per call; callers own it.
 func (c *Calibration) PodMetas() []PodMeta {
 	metas := make([]PodMeta, 0, c.pods)
-	for fn, p := range c.profiles {
-		e := newTimingEmitter(c.cfg.Seed, fn, p, c.counts[fn])
-		id := c.podBases[fn]
-		for sh, ok := e.nextPod(c.scale); ok; sh, ok = e.nextPod(c.scale) {
-			id++
-			metas = append(metas, PodMeta{
-				ID:    id,
-				FnID:  fn,
-				VCPU:  p.flavor.VCPU,
-				MemMB: p.flavor.MemMB,
-				Init:  sh.init,
-				First: sh.first,
-				Last:  sh.last,
-				NReqs: sh.nreqs,
-			})
+	var t Timing
+	for fn := range c.profiles {
+		tc := c.TimingCursor(fn)
+		f := tc.Flavor()
+		for tc.Next(&t) {
+			metas = AddTiming(metas, fn, f, &t)
 		}
 	}
-	// First-appearance order in the merged stream: ascending first
-	// arrival, ties to the lower pod ID — IDs are function-major and the
-	// merge breaks ties toward the lower function index, while within a
-	// function pod arrivals strictly increase.
-	sort.Slice(metas, func(i, j int) bool {
-		if metas[i].First != metas[j].First {
-			return metas[i].First < metas[j].First
-		}
-		return metas[i].ID < metas[j].ID
-	})
+	SortPods(metas)
 	return metas
+}
+
+// lazyScan is LazyScanStream's stream.
+type lazyScan struct {
+	scan func() []PodMeta
+	open func() IntoStream
+	s    IntoStream
+}
+
+// LazyScanStream returns a stream that enumerates its pods through
+// scan — the result implements PodScanner — and defers open, which
+// builds the request stream, to the first pull. A placement pass that
+// only reads pod metadata therefore never primes the request merge.
+func LazyScanStream(scan func() []PodMeta, open func() IntoStream) IntoStream {
+	return &lazyScan{scan: scan, open: open}
+}
+
+func (l *lazyScan) PodScan() []PodMeta { return l.scan() }
+
+func (l *lazyScan) Next() (Request, bool) {
+	var r Request
+	ok := l.NextInto(&r)
+	return r, ok
+}
+
+func (l *lazyScan) NextInto(r *Request) bool {
+	if l.s == nil {
+		l.s = l.open()
+	}
+	return l.s.NextInto(r)
 }
 
 // GenerateByFunction returns one time-ordered stream per function of
@@ -359,8 +482,8 @@ type mergeEntry struct {
 // ties broken toward the lower-indexed source so the merge is
 // deterministic.
 type merged struct {
-	srcs  []func(*Request) bool // per-source NextInto fast paths
-	heads []Request             // heads[src] is src's buffered next request
+	srcs  []IntoStream // per-source NextInto fast paths
+	heads []Request    // heads[src] is src's buffered next request
 	h     []mergeEntry
 }
 
@@ -403,7 +526,7 @@ func (m *merged) NextInto(out *Request) bool {
 	}
 	src := m.h[0].src
 	*out = m.heads[src]
-	if m.srcs[src](&m.heads[src]) {
+	if m.srcs[src].NextInto(&m.heads[src]) {
 		m.h[0].start = m.heads[src].Start
 	} else {
 		n := len(m.h) - 1
@@ -417,15 +540,15 @@ func (m *merged) NextInto(out *Request) bool {
 // Merge combines time-ordered streams into one time-ordered stream.
 // Each source must be non-decreasing in Start; simultaneous arrivals
 // across sources are emitted in source order. Memory is O(len(srcs)).
-func Merge(srcs ...Stream) Stream {
+func Merge(srcs ...Stream) IntoStream {
 	m := &merged{
-		srcs:  make([]func(*Request) bool, len(srcs)),
+		srcs:  make([]IntoStream, len(srcs)),
 		heads: make([]Request, len(srcs)),
 		h:     make([]mergeEntry, 0, len(srcs)),
 	}
 	for i, s := range srcs {
-		m.srcs[i] = NextIntoFunc(s)
-		if m.srcs[i](&m.heads[i]) {
+		m.srcs[i] = asInto(s)
+		if m.srcs[i].NextInto(&m.heads[i]) {
 			m.h = append(m.h, mergeEntry{start: m.heads[i].Start, src: int32(i)})
 		}
 	}

@@ -124,6 +124,41 @@ func TestGenerateByFunctionPartition(t *testing.T) {
 	}
 }
 
+// TestTimingCursorMatchesFunctionStream pins the timing walk to full
+// emission: every function's cursor yields exactly its stream's
+// requests' pod, arrival, rescaled duration, and cold-start fields,
+// and its flavor and length.
+func TestTimingCursorMatchesFunctionStream(t *testing.T) {
+	cfg := DefaultGeneratorConfig()
+	cfg.Requests = 6000
+	c := Calibrate(cfg)
+	for fn, f := range c.Streams() {
+		tc := c.TimingCursor(fn)
+		if tc.Len() != f.Len() {
+			t.Fatalf("fn %d: cursor Len %d, stream Len %d", fn, tc.Len(), f.Len())
+		}
+		var tm Timing
+		var r Request
+		for i := 0; ; i++ {
+			more, ok := tc.Next(&tm), f.NextInto(&r)
+			if more != ok {
+				t.Fatalf("fn %d: cursor and stream end at different requests (%d)", fn, i)
+			}
+			if !ok {
+				break
+			}
+			want := Timing{PodID: r.PodID, Start: r.Start, Duration: r.Duration,
+				ColdStart: r.ColdStart, InitDuration: r.InitDuration}
+			if tm != want {
+				t.Fatalf("fn %d request %d: cursor %+v, stream %+v", fn, i, tm, want)
+			}
+			if fl := tc.Flavor(); fl.VCPU != r.AllocCPU || fl.MemMB != r.AllocMemMB {
+				t.Fatalf("fn %d: cursor flavor %+v, request %gx%gMB", fn, fl, r.AllocCPU, r.AllocMemMB)
+			}
+		}
+	}
+}
+
 // TestMergeTieBreak pins Merge's determinism rule: simultaneous
 // arrivals come out in source order.
 func TestMergeTieBreak(t *testing.T) {
