@@ -114,13 +114,14 @@ func BenchmarkFleetReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetStream compares the materialized and streaming cluster
-// pipelines at large request counts. Beyond requests/sec (SetBytes)
-// and cumulative B/op (ReportAllocs), each run reports the peak live
-// heap as "peak-heap-MB": the number that caps how large a workload
-// fits in memory. The streamed report is byte-identical to the
-// materialized one (see internal/fleet stream tests); only the
-// resource profile differs.
+// BenchmarkFleetStream compares collecting the trace before simulating
+// it (the materialized variant: trace.Generate, then fleet.Simulate)
+// against streaming it (trace.GenerateSource into fleet.SimulateStream)
+// at large request counts. Both run the same generator and replay, so
+// the reports are byte-identical; only the resource profile differs.
+// Beyond requests/sec (SetBytes) and cumulative B/op (ReportAllocs),
+// each run reports the peak live heap as "peak-heap-MB": the number
+// that caps how large a workload fits in memory.
 //
 // The generator's pod population grows with the trace, so the
 // generator-driven streamed runs still carry O(pods) placement

@@ -269,37 +269,36 @@ func TestFaultReportWorkerCountIndependent(t *testing.T) {
 	}
 }
 
-// TestFaultStreamMatchesMaterialized pins that the streaming pipeline
-// replays the same fault schedule to the same report, byte for byte —
-// including the crash-during-inflight path, which the race detector
-// watches when CI runs this suite with -race.
+// TestFaultStreamMatchesMaterialized pins that the single-worker inline
+// feed and the four-worker channel pipeline replay the same fault
+// schedule to the same report, byte for byte — including the
+// crash-during-inflight path, which the race detector watches when CI
+// runs this suite with -race.
 func TestFaultStreamMatchesMaterialized(t *testing.T) {
 	tr := testTrace(t, 8000, 13)
 	horizon := tr.Requests[len(tr.Requests)-1].Start
 	// A crash-dense schedule, so hard-downs reliably catch requests
 	// mid-execution on every host.
 	spec := &faults.Spec{Crash: &faults.CrashSpec{Rate: 40, Restart: faults.Duration(2 * time.Second)}}
-	cfg := streamTestConfig(t, "bin-pack", 4)
-	plan, err := faults.Compile(spec, cfg.Hosts, horizon, cfg.Seed)
-	if err != nil {
-		t.Fatal(err)
+	var reps [2]Report
+	for i, workers := range []int{1, 4} {
+		cfg := streamTestConfig(t, "bin-pack", workers)
+		plan, err := faults.Compile(spec, cfg.Hosts, horizon, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = plan
+		if reps[i], err = SimulateStream(context.Background(), cfg, trace.SourceOf(tr)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cfg.Faults = plan
-	rep, err := Simulate(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := streamTestConfig(t, "bin-pack", 4)
-	cfg2.Faults = cfg.Faults
-	srep, err := SimulateStream(context.Background(), cfg2, trace.SourceOf(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.KilledRequests == 0 {
+	inline, piped := reps[0], reps[1]
+	if inline.KilledRequests == 0 {
 		t.Fatal("chaos plan killed nothing in flight; the crash path went unexercised")
 	}
-	if a, b := renderReport(rep), renderReport(srep); a != b {
-		t.Errorf("streamed fault report drifted from materialized:\n%s\nvs\n%s", a, b)
+	piped.Workers = inline.Workers
+	if a, b := renderReport(inline), renderReport(piped); a != b {
+		t.Errorf("channel-pipeline fault report drifted from the inline feed:\n%s\nvs\n%s", a, b)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +25,7 @@ func TestPlacementNeverOverCommits(t *testing.T) {
 		cfg.Requests = 400
 		cfg.Seed = seed
 		tr := trace.Generate(cfg)
-		pods, err := buildPods(tr)
+		pods, _, err := scanPods(context.Background(), trace.FromTrace(tr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +75,6 @@ func TestPlacementMidStreamInvariant(t *testing.T) {
 	cfg.Requests = 3000
 	cfg.Seed = 99
 	tr := trace.Generate(cfg)
-	pods, err := buildPods(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := HostSpec{VCPU: 4, MemMB: 8192}
 	for _, name := range PolicyNames() {
 		policy, err := NewPolicy(name)
@@ -88,16 +85,26 @@ func TestPlacementMidStreamInvariant(t *testing.T) {
 		for i := range view.Hosts {
 			view.Hosts[i].Spec = spec
 		}
+		// Place supplies the pods in first-arrival order; its own
+		// placement decisions are ignored.
+		pods, err := Place(Config{Hosts: 1, Host: spec, Policy: policy, Profile: core.AWS()}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		policy, err = NewPolicy(name) // fresh state for the stepped replay
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng := stats.NewRand(1)
 		for _, p := range pods {
 			// No retirement at all: the worst case for capacity pressure.
-			idx := policy.Place(&view, p.vcpu, p.memMB, rng)
+			idx := policy.Place(&view, p.VCPU, p.MemMB, rng)
 			if idx < 0 {
 				continue
 			}
 			h := &view.Hosts[idx]
-			h.CommittedVCPU += p.vcpu
-			h.CommittedMemMB += p.memMB
+			h.CommittedVCPU += p.VCPU
+			h.CommittedMemMB += p.MemMB
 			h.Sandboxes++
 			if h.CommittedVCPU > spec.VCPU+capacityEpsilon ||
 				h.CommittedMemMB > spec.MemMB+capacityEpsilon {
@@ -162,35 +169,60 @@ func TestPolicyCharacteristics(t *testing.T) {
 	}
 }
 
-func TestBuildPodsGrouping(t *testing.T) {
+// TestPlaceGroupsPods pins Place's pod grouping: every trace request
+// belongs to exactly one assignment, each assignment lists its own
+// pod's requests in arrival order starting with the cold start, and
+// assignments come in first-arrival order. The placement metadata
+// behind them bounds every request: a pod's last turnaround end is at
+// or after each of its requests' ends.
+func TestPlaceGroupsPods(t *testing.T) {
 	cfg := trace.DefaultGeneratorConfig()
 	cfg.Requests = 2000
 	cfg.Seed = 5
 	tr := trace.Generate(cfg)
-	pods, err := buildPods(tr)
+	policy, err := NewPolicy("least-loaded")
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
+	pods, err := Place(Config{Hosts: 4, Host: DefaultHostSpec(), Policy: policy, Profile: core.AWS()}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, _, err := scanPods(context.Background(), trace.FromTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]bool, tr.Len())
 	for i, p := range pods {
-		total += len(p.reqs)
-		if i > 0 && pods[i-1].first > p.first {
+		if len(p.Requests) == 0 {
+			t.Fatalf("pod %d has no requests", p.PodID)
+		}
+		if i > 0 && tr.Requests[pods[i-1].Requests[0]].Start > tr.Requests[p.Requests[0]].Start {
 			t.Fatal("pods not sorted by first arrival")
 		}
-		for j, ri := range p.reqs {
+		for j, ri := range p.Requests {
 			r := tr.Requests[ri]
-			if r.PodID != p.id {
-				t.Fatalf("pod %d holds foreign request %d", p.id, ri)
+			if r.PodID != p.PodID || r.FnID != p.FnID || r.AllocCPU != p.VCPU || r.AllocMemMB != p.MemMB {
+				t.Fatalf("pod %d holds foreign request %d", p.PodID, ri)
 			}
-			if j == 0 && !r.ColdStart {
-				t.Errorf("pod %d first request not a cold start", p.id)
+			if j == 0 && (!r.ColdStart || r.InitDuration != p.InitDuration) {
+				t.Errorf("pod %d first request is not its cold start", p.PodID)
 			}
-			if end := r.Start + r.Turnaround(); end > p.last {
-				t.Errorf("pod %d last %v before request end %v", p.id, p.last, end)
+			if j > 0 && ri <= p.Requests[j-1] {
+				t.Fatalf("pod %d requests out of arrival order", p.PodID)
 			}
+			if end := r.Start + r.Turnaround(); end > meta[i].last {
+				t.Errorf("pod %d last %v before request end %v", p.PodID, meta[i].last, end)
+			}
+			if seen[ri] {
+				t.Fatalf("request %d assigned twice", ri)
+			}
+			seen[ri] = true
 		}
 	}
-	if total != tr.Len() {
-		t.Errorf("pods hold %d requests, trace has %d", total, tr.Len())
+	for ri, ok := range seen {
+		if !ok {
+			t.Fatalf("request %d assigned to no pod", ri)
+		}
 	}
 }

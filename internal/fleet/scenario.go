@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"time"
 
 	"slscost/internal/scenario"
@@ -8,7 +9,7 @@ import (
 )
 
 // This file is the scenario-driven replay surface: Simulate fed by the
-// internal/scenario engine instead of a raw trace, plus the exported
+// internal/scenario engine instead of a recorded trace, plus the exported
 // placement/seeding hooks the differential verification harness
 // (internal/scenario/diffsim) replays hosts independently from.
 
@@ -48,19 +49,24 @@ type PodAssignment struct {
 // Place runs only the sequential placement pass of Simulate and returns
 // every pod's assignment in first-arrival order — the exact decisions
 // the full simulation replays, since placement is a pure function of
-// (cfg, trace). internal/scenario/diffsim uses this to rebuild each
-// host's workload for an independent replay.
+// (cfg, trace). The trace is validated as Simulate validates it.
+// internal/scenario/diffsim uses this to rebuild each host's workload
+// for an independent replay.
 func Place(cfg Config, tr *trace.Trace) ([]PodAssignment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pods, err := buildPods(tr)
+	pods, _, err := scanPods(context.Background(), trace.FromTrace(tr))
 	if err != nil {
 		return nil, err
 	}
 	placeAll(cfg, pods)
 	out := make([]PodAssignment, len(pods))
+	slot := make(map[int]int, len(pods)) // pod ID → index in out
+	idx := make([]int, tr.Len())         // one backing array, sliced per pod
+	off := 0
 	for i, p := range pods {
+		end := off + p.nreqs
 		out[i] = PodAssignment{
 			PodID:        p.id,
 			FnID:         p.fnID,
@@ -68,8 +74,14 @@ func Place(cfg Config, tr *trace.Trace) ([]PodAssignment, error) {
 			VCPU:         p.vcpu,
 			MemMB:        p.memMB,
 			InitDuration: p.initMs,
-			Requests:     p.reqs,
+			Requests:     idx[off:off:end],
 		}
+		slot[p.id] = i
+		off = end
+	}
+	for ri, r := range tr.Requests {
+		a := &out[slot[r.PodID]]
+		a.Requests = append(a.Requests, ri)
 	}
 	return out, nil
 }

@@ -11,24 +11,24 @@ import (
 	"slscost/internal/trace"
 )
 
-// This file is the streaming replay path: Simulate's semantics over a
-// trace.Source instead of a materialized trace, with memory bounded by
-// the pod count (placement metadata) and the live simulation state
-// rather than the request count.
+// This file is the cluster replay, over a trace.Source, with
+// memory bounded by the pod count (placement metadata) and the live
+// simulation state rather than the request count. Simulate runs a
+// recorded trace through it.
 //
 // The pipeline makes two passes over the source. Pass 1 builds per-pod
 // placement metadata (flavor, first arrival, last turnaround end,
 // request count — everything placeAll needs, and nothing per-request),
-// then runs the exact sequential placement pass the batch path runs.
-// Generator and scenario sources hand that metadata over from a
-// timing-only pod walk (trace.PodScanner); only recorded traces are
-// scanned request by request. Pass 2 re-opens the source and
-// routes each request, still in global arrival order, into per-shard
-// bounded channels; shard workers advance their hosts' private clocks
-// concurrently with generation, so host simulation overlaps trace
-// synthesis instead of waiting for it. Per-host results are merged in
-// host order, so the report is bit-identical to Simulate's and
-// independent of the worker count.
+// then runs the sequential placement pass. Generator and scenario
+// sources hand that metadata over from a timing-only pod walk
+// (trace.PodScanner); recorded traces are scanned request by request.
+// Pass 2 re-opens the source and routes each request, still in global
+// arrival order, to its host: inline with one worker, otherwise into
+// per-shard bounded channels whose workers advance their hosts' private
+// clocks concurrently with generation, so host simulation overlaps
+// trace synthesis instead of waiting for it. Per-host results are
+// merged in host order, so the report is independent of the worker
+// count.
 
 const (
 	// streamBatchSize is how many requests travel per channel send;
@@ -115,10 +115,9 @@ func (ix *podIndex) get(id int) *pod {
 // streams can, from a timing-only walk), the per-request scan is
 // skipped entirely; the metadata is identical by the generators'
 // contract, which TestPodScanMatchesRequestScan pins. Otherwise it
-// streams the trace once and enforces the same input contract as the
-// batch path's buildPods: requests sorted by arrival, per-pod flavors
-// constant. Cancelling ctx stops that scan within cancelCheckMask+1
-// pulls.
+// streams the trace once and enforces the replay input contract:
+// requests sorted by arrival, per-pod flavors constant. Cancelling ctx
+// stops that scan within cancelCheckMask+1 pulls.
 func scanPods(ctx context.Context, s trace.Stream) ([]*pod, int, error) {
 	if sc, ok := s.(trace.PodScanner); ok {
 		metas := sc.PodScan()
@@ -197,9 +196,8 @@ func scanPodsSlow(ctx context.Context, s trace.Stream) ([]*pod, int, error) {
 }
 
 // SimulateStream replays a re-openable request stream through the
-// cluster and returns the same report Simulate would produce for the
-// materialized trace — byte-identical, for any worker count — without
-// ever holding the trace in memory. The source is opened twice (the
+// cluster and returns the cluster-wide report — byte-identical for any
+// worker count — without ever holding the trace in memory. The source is opened twice (the
 // placement scan and the replay must see the same sequence; for seeded
 // generators reopening just re-derives the stream). Host workers
 // simulate concurrently with the second pass, so trace synthesis and

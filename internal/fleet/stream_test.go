@@ -44,9 +44,10 @@ func renderReport(rep Report) string {
 	return buf.String()
 }
 
-// TestSimulateStreamMatchesSimulate is the tentpole acceptance
-// property: for every catalog scenario, the streamed pipeline's report
-// is byte-identical (WriteText) to the materialized one.
+// TestSimulateStreamMatchesSimulate pins SimulateStream's two pass-2 feeds
+// against each other: for every catalog scenario, the report of the
+// single-worker inline feed is byte-identical (WriteText, worker count
+// normalized) to the four-worker channel pipeline's.
 func TestSimulateStreamMatchesSimulate(t *testing.T) {
 	for _, sc := range scenario.Catalog() {
 		sc := sc
@@ -54,16 +55,17 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 			scfg := scenario.DefaultConfig()
 			scfg.Base.Requests = 4000
 
-			rep, _, err := SimulateScenario(streamTestConfig(t, "least-loaded", 2), sc, scfg)
+			inline, err := SimulateScenarioStream(context.Background(), streamTestConfig(t, "least-loaded", 1), sc, scfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			srep, err := SimulateScenarioStream(context.Background(), streamTestConfig(t, "least-loaded", 2), sc, scfg)
+			piped, err := SimulateScenarioStream(context.Background(), streamTestConfig(t, "least-loaded", 4), sc, scfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a, b := renderReport(rep), renderReport(srep); a != b {
-				t.Errorf("streamed report drifted from materialized:\nmaterialized:\n%s\nstreamed:\n%s", a, b)
+			piped.Workers = inline.Workers
+			if a, b := renderReport(inline), renderReport(piped); a != b {
+				t.Errorf("channel pipeline drifted from the inline feed:\ninline:\n%s\npiped:\n%s", a, b)
 			}
 		})
 	}
@@ -103,7 +105,7 @@ func TestSimulateStreamRawTrace(t *testing.T) {
 // accumulate into fixed logarithmic histograms and merge by integer
 // bucket addition in host order, every latency quantile — and the
 // exactly tracked mean/min/max — is bit-identical for 1, 4, and 8
-// workers, on the streaming and materialized paths alike.
+// workers.
 func TestStreamLatencyQuantilesWorkerIndependent(t *testing.T) {
 	gen := trace.DefaultGeneratorConfig()
 	gen.Requests = 6000
@@ -175,56 +177,6 @@ func TestSimulateStreamStatefulPolicy(t *testing.T) {
 	}
 	if a, b := renderReport(rep), renderReport(srep); a != b {
 		t.Errorf("round-robin drifted:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// TestSimulateStreamExactTie pins tie handling between the two paths:
-// two requests from different pods arriving at the exact same
-// nanosecond — rare in generated traces but expected at 10M+ requests
-// once float arrivals quantize — must execute in the same order on the
-// batch and streaming paths. The flavors are asymmetric and the tied
-// demand exceeds host capacity, so a divergent order would change the
-// admission-time contention factor and with it latency and billing.
-func TestSimulateStreamExactTie(t *testing.T) {
-	const tie = 1000 * time.Millisecond
-	tr := &trace.Trace{Requests: []trace.Request{
-		// Pod 1 (1 vCPU) arrives first overall; pod 2 (4 vCPU) second.
-		{PodID: 1, FnID: 0, Start: 0, Duration: 50 * time.Millisecond,
-			CPUTime: 10 * time.Millisecond, AllocCPU: 1, AllocMemMB: 2048,
-			MemUsedMB: 100, ColdStart: true, InitDuration: 100 * time.Millisecond},
-		{PodID: 2, FnID: 1, Start: 100 * time.Millisecond, Duration: 50 * time.Millisecond,
-			CPUTime: 10 * time.Millisecond, AllocCPU: 4, AllocMemMB: 4096,
-			MemUsedMB: 100, ColdStart: true, InitDuration: 100 * time.Millisecond},
-		// The exact tie, in *reverse* pod-first-arrival order: the
-		// 4-vCPU pod's request precedes the 1-vCPU pod's in the trace.
-		{PodID: 2, FnID: 1, Start: tie, Duration: 200 * time.Millisecond,
-			CPUTime: 40 * time.Millisecond, AllocCPU: 4, AllocMemMB: 4096, MemUsedMB: 100},
-		{PodID: 1, FnID: 0, Start: tie, Duration: 200 * time.Millisecond,
-			CPUTime: 40 * time.Millisecond, AllocCPU: 1, AllocMemMB: 2048, MemUsedMB: 100},
-	}}
-	mk := func() Config {
-		pol, err := NewPolicy("bin-pack") // both pods land on host 0
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Config{
-			Hosts: 2, Host: HostSpec{VCPU: 4, MemMB: 32768}, Policy: pol,
-			Profile: core.AWS(), Workers: 1, Overcommit: 2, Seed: 1,
-		}
-	}
-	rep, err := Simulate(mk(), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srep, err := SimulateStream(context.Background(), mk(), trace.SourceOf(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ContentionDelaySeconds == 0 {
-		t.Fatal("test construction broken: the tie never contends, so order is unobservable")
-	}
-	if a, b := renderReport(rep), renderReport(srep); a != b {
-		t.Errorf("exact-tie reports differ:\nmaterialized:\n%s\nstreamed:\n%s", a, b)
 	}
 }
 

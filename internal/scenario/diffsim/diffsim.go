@@ -404,10 +404,10 @@ const (
 
 // event is one entry in the host's chronological heap. seq breaks
 // same-instant ties FIFO, matching simtime.Clock's scheduling-order
-// rule: all arrivals are seeded before the sweep starts, then the
-// fault plan, so at one instant arrivals fire first, then faults, then
-// runtime-scheduled completions and expiries — the exact order both
-// fleet replay paths produce.
+// rule: all arrivals are seeded before the sweep starts, in trace
+// order, then the fault plan, so at one instant arrivals fire first
+// (in trace order), then faults, then runtime-scheduled completions
+// and expiries — the order fleet.SimulateStream produces.
 type event struct {
 	at   time.Duration
 	seq  uint64
@@ -568,14 +568,16 @@ func replayHost(cfg fleet.Config, hostIdx int, pods []fleet.PodAssignment, tr *t
 		return d
 	}
 
+	// An arrival's seq is its trace index, so same-instant arrivals of
+	// different pods fire in trace order, not pod order; faults and
+	// runtime events number on from the trace length.
 	var q eventHeap
-	var seq uint64
 	for pi, p := range pods {
 		for _, ri := range p.Requests {
-			heap.Push(&q, event{at: tr.Requests[ri].Start, seq: seq, kind: evArrive, pod: pi, req: ri})
-			seq++
+			heap.Push(&q, event{at: tr.Requests[ri].Start, seq: uint64(ri), kind: evArrive, pod: pi, req: ri})
 		}
 	}
+	seq := uint64(len(tr.Requests))
 	// The fault plan seeds after the arrivals (and only on hosts that
 	// serve — this function early-returns above on an empty pod list,
 	// matching the fleet's lazy sim creation): at one instant an

@@ -95,9 +95,9 @@ func TestFaultAgreementAcrossPoliciesAndPlatforms(t *testing.T) {
 	}
 }
 
-// TestFaultStreamMatchesMaterialized cross-checks the third replay
-// mechanism: the streaming pipeline under faults must agree with both
-// the materialized fleet path and the oracle.
+// TestFaultStreamMatchesMaterialized cross-checks fleet.SimulateStream on
+// a lazily synthesized scenario stream under faults against the oracle's
+// replay of the collected trace.
 func TestFaultStreamMatchesMaterialized(t *testing.T) {
 	sc, ok := scenario.ByName("flash-crowd")
 	if !ok {

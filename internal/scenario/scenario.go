@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"slscost/internal/stats"
@@ -144,9 +143,7 @@ func (s Scenario) tenants(cfg Config) []Tenant {
 
 // tenantAlloc is one tenant's resolved slice of the synthesis: its
 // shape, its fully parameterized generator config, its private shape
-// seed, and the function-ID offset its output shifts by. Both the
-// materialized (Trace) and streaming (Stream) paths synthesize from
-// the same plan, which is what keeps them bit-identical.
+// seed, and the function-ID offset its output shifts by.
 type tenantAlloc struct {
 	shape     Shape
 	gcfg      trace.GeneratorConfig
@@ -232,101 +229,16 @@ func (s Scenario) plan(cfg Config) ([]tenantAlloc, error) {
 	return plans, nil
 }
 
-// Trace synthesizes the scenario's request trace: per tenant, a
-// calibrated base trace supplies functions, pods, durations, flavors,
-// and cold-start structure, and the tenant's shape re-times every
-// function's arrival stream as a shape-modulated renewal process. The
+// Trace synthesizes the scenario's request trace: Stream's request
+// sequence, collected into a slice pre-sized to cfg.Base.Requests. The
 // result is sorted by arrival, satisfies (*trace.Trace).Validate, and
-// is bit-reproducible from cfg.Base.Seed. Stream yields the identical
-// request sequence without materializing it.
+// is bit-reproducible from cfg.Base.Seed.
 func (s Scenario) Trace(cfg Config) (*trace.Trace, error) {
-	if err := s.Validate(cfg); err != nil {
-		return nil, err
-	}
-	plans, err := s.plan(cfg)
+	st, err := s.Stream(cfg)
 	if err != nil {
 		return nil, err
 	}
-	horizon := cfg.horizon()
-
-	out := &trace.Trace{}
-	podBase := 0
-	for _, pl := range plans {
-		base := trace.Generate(pl.gcfg)
-		retime(base, pl.shape, horizon, pl.shapeSeed)
-
-		maxPod := 0
-		for ri := range base.Requests {
-			r := &base.Requests[ri]
-			r.FnID += pl.fnBase
-			if r.PodID > maxPod {
-				maxPod = r.PodID
-			}
-			r.PodID += podBase
-		}
-		podBase += maxPod
-		out.Requests = append(out.Requests, base.Requests...)
-	}
-
-	// A single emitting tenant's block is already sorted by retime; only
-	// a concatenation of several blocks needs the final pass. The sort
-	// is stable and keyed on Start alone: cross-tenant ties keep the
-	// tenant-major concatenation order and within-tenant ties stay in
-	// retime's (Start, function) order — together exactly the tie rule
-	// Stream's merge applies (sources are tenant-major, function-minor).
-	if len(plans) > 1 {
-		sort.SliceStable(out.Requests, func(a, b int) bool {
-			return out.Requests[a].Start < out.Requests[b].Start
-		})
-	}
-	return out, nil
-}
-
-// retime rewrites tr's arrival times in place: each function becomes an
-// independent renewal process whose instantaneous rate follows shape
-// (normalized to mean 1 and extended periodically over the horizon).
-// A function with n requests gets a base mean gap of horizon/n, so all
-// functions span about one period and popularity maps to density. Gaps
-// scale inversely with the local intensity — droughts stretch idle time
-// past keep-alive windows, bursts collapse it — while pod membership,
-// ordering, durations, and flavors are untouched.
-func retime(tr *trace.Trace, shape Shape, horizon time.Duration, seed uint64) {
-	mean := meanRate(shape)
-	if mean <= 0 {
-		mean = 1 // degenerate all-zero shape: treat as steady
-	}
-	h := horizon.Seconds()
-
-	// Group request indices by function, preserving arrival order
-	// (trace.Generate output is sorted; per-function order is therefore
-	// the generation order).
-	byFn := make(map[int][]int)
-	var fns []int
-	for i, r := range tr.Requests {
-		if _, ok := byFn[r.FnID]; !ok {
-			fns = append(fns, r.FnID)
-		}
-		byFn[r.FnID] = append(byFn[r.FnID], i)
-	}
-	sort.Ints(fns)
-
-	for _, fn := range fns {
-		idxs := byFn[fn]
-		rn := newRenewal(shape, mean, h, seed, fn, len(idxs))
-		for _, ri := range idxs {
-			r := &tr.Requests[ri]
-			r.Start = rn.next(r.Duration)
-		}
-	}
-	// Ties (same-nanosecond re-timed arrivals from different functions)
-	// order by function index — the rule the streaming path's merge
-	// applies, so Trace and Stream stay bit-identical even on ties.
-	sort.SliceStable(tr.Requests, func(a, b int) bool {
-		if tr.Requests[a].Start != tr.Requests[b].Start {
-			return tr.Requests[a].Start < tr.Requests[b].Start
-		}
-		return tr.Requests[a].FnID < tr.Requests[b].FnID
-	})
+	return trace.CollectN(st, cfg.Base.Requests), nil
 }
 
 // mix derives a decorrelated splitmix-style stream seed from (seed,

@@ -8,23 +8,25 @@ import (
 	"slscost/internal/trace"
 )
 
-// This file is the streaming face of the scenario engine: the same
-// shape-modulated renewal re-timing Trace applies to a materialized
-// base trace, applied lazily to per-function generator streams and
-// merged by arrival time. Memory is O(tenants × functions) instead of
-// O(requests), and the emitted sequence is bit-identical to Trace's —
-// the fleet simulator's streamed and materialized paths must agree to
-// the byte, so both re-time through the same per-function renewal
-// step.
+// This file is the scenario engine's synthesis: each tenant's
+// per-function generator streams, re-timed lazily as shape-modulated
+// renewal processes and merged by arrival time. Memory is
+// O(tenants × functions) instead of O(requests); Trace collects the
+// same stream.
 
 // intensityFloor bounds how far a dead zone of a shape can stretch
 // inter-arrival gaps (10^4×), so traces terminate even under shapes
 // that are zero almost everywhere.
 const intensityFloor = 1e-4
 
-// renewal is one function's shape-modulated renewal clock: the
-// re-timing arithmetic the materialized re-timer, the request stream,
-// and the pod walk all share.
+// renewal is one function's shape-modulated renewal clock: the one
+// re-timing step, shared by the request stream and the pod walk. The
+// clock's instantaneous rate follows the shape, normalized to mean 1
+// and extended periodically over the horizon. A function with n requests gets a base mean gap of horizon/n, so
+// all functions span about one period and popularity maps to density.
+// Gaps scale inversely with the local intensity — droughts stretch
+// idle time past keep-alive windows, bursts collapse it — while pod
+// membership, ordering, durations, and flavors are untouched.
 type renewal struct {
 	shape   Shape
 	mean    float64 // shape's mean intensity (normalizer)
@@ -81,8 +83,7 @@ func (rs *retimeStream) Next() (trace.Request, bool) {
 	return r, ok
 }
 
-// NextInto re-times the function's next request in place, exactly as
-// retime does on a materialized trace.
+// NextInto re-times the function's next request in place.
 func (rs *retimeStream) NextInto(r *trace.Request) bool {
 	if !rs.src.NextInto(r) {
 		return false
@@ -198,10 +199,9 @@ func podScan(plans []streamPlan, horizon time.Duration) []trace.PodMeta {
 // Stream synthesizes the scenario's trace as a time-ordered request
 // stream without materializing it: per tenant, per function, a lazy
 // generator stream is wrapped in the renewal re-timer, and all streams
-// merge by arrival. The emitted sequence is identical to Trace(cfg)'s,
-// ties included (the merge's tenant-major, function-minor tie order is
-// the order Trace's stable sorts leave simultaneous arrivals in), with
-// memory bounded by tenants × functions instead of the request count.
+// merge by arrival, simultaneous arrivals in tenant-major,
+// function-minor order. Memory is bounded by tenants × functions
+// instead of the request count.
 func (s Scenario) Stream(cfg Config) (trace.Stream, error) {
 	plans, err := s.streamPlans(cfg)
 	if err != nil {

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"slscost/internal/stats"
@@ -319,9 +318,8 @@ func (c *timingCursor) step() (arrivalMs, durMs float64, cold, ok bool) {
 
 // fnEmitter generates one function's raw (unrescaled) requests: the
 // timing step plus the per-request utilization draws from the
-// function's second private stream. Both the materialized path
-// (Generate) and the streaming path (FunctionStream) emit through it,
-// so the emitted trace is identical by construction.
+// function's second private stream. FunctionStream emits through it
+// and rescales on the way out.
 type fnEmitter struct {
 	timingCursor
 	util stats.Rand
@@ -365,37 +363,12 @@ func (e *fnEmitter) next(r *Request) bool {
 	return true
 }
 
-// Generate produces a synthetic trace under cfg. The result is sorted by
-// arrival time and always passes (*Trace).Validate. GenerateStream
-// yields the identical request sequence without materializing it.
+// Generate produces a synthetic trace under cfg: GenerateStream's
+// request sequence, collected into a slice pre-sized to cfg.Requests.
+// The result is sorted by arrival time and always passes
+// (*Trace).Validate.
 func Generate(cfg GeneratorConfig) *Trace {
-	if cfg.Requests <= 0 {
-		return &Trace{}
-	}
-	cfg = cfg.sanitize()
-	rng := stats.NewRand(cfg.Seed)
-	profiles, totalWeight := buildProfiles(rng, cfg)
-	counts := requestCounts(cfg, profiles, totalWeight)
-
-	reqs := make([]Request, 0, cfg.Requests)
-	podBase := 0
-	for fn := range profiles {
-		e := newFnEmitter(cfg.Seed, fn, &profiles[fn], counts[fn], cfg.UtilCorrelation, podBase)
-		var r Request
-		for e.next(&r) {
-			reqs = append(reqs, r)
-		}
-		podBase = e.podID
-	}
-
-	rescaleDurations(reqs, cfg.MeanDurationMs)
-	// Stable sort over the function-major generation order: requests at
-	// the same instant (possible once float arrivals quantize to
-	// nanoseconds at large trace sizes) order by function index — the
-	// exact tie rule GenerateStream's merge applies, keeping the two
-	// paths bit-identical even on ties.
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Start < reqs[j].Start })
-	return &Trace{Requests: reqs}
+	return CollectN(GenerateStream(cfg), cfg.Requests)
 }
 
 // pickFlavorIndex draws a flavor index according to flavorWeights.
@@ -453,30 +426,9 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// rescaleDurations scales every duration (and CPU time, to preserve
-// utilization rates) so the trace mean matches target exactly.
-func rescaleDurations(reqs []Request, targetMs float64) {
-	if len(reqs) == 0 {
-		return
-	}
-	var sum float64
-	for _, r := range reqs {
-		sum += float64(r.Duration) / float64(time.Millisecond)
-	}
-	mean := sum / float64(len(reqs))
-	if mean <= 0 {
-		return
-	}
-	k := targetMs / mean
-	for i := range reqs {
-		reqs[i].Duration = rescaled(reqs[i].Duration, k)
-		reqs[i].CPUTime = time.Duration(float64(reqs[i].CPUTime) * k)
-	}
-}
-
 // rescaled scales one duration by the rescale factor k, flooring the
-// result at one microsecond. Every path that rescales a duration goes
-// through it, so they all agree to the nanosecond.
+// result at one microsecond. Emission and the timing walk both rescale
+// through it, so they agree to the nanosecond.
 func rescaled(d time.Duration, k float64) time.Duration {
 	if d = time.Duration(float64(d) * k); d <= 0 {
 		d = time.Microsecond

@@ -10,10 +10,9 @@ import (
 
 // This file is the streaming face of the trace layer: an iterator
 // abstraction over time-ordered request sequences, adapters between
-// streams and materialized traces, and a streaming generator that emits
-// the exact request sequence Generate materializes — in arrival order,
-// with memory bounded by the function count rather than the request
-// count. internal/scenario re-times these streams per function and
+// streams and request slices, and the generator itself — per-function
+// emitters merged in arrival order, with memory bounded by the function
+// count rather than the request count. Generate is a collect of it. internal/scenario re-times these streams per function and
 // internal/fleet consumes them for cluster simulations far larger than
 // memory would allow a materialized trace.
 
@@ -108,12 +107,24 @@ func SourceOf(tr *Trace) Source {
 	return func() (Stream, error) { return FromTrace(tr), nil }
 }
 
-// Collect drains a stream into a materialized trace. It is the inverse
-// of FromTrace: Collect(FromTrace(tr)) reproduces tr exactly, and
-// Collect(GenerateStream(cfg)) equals Generate(cfg).
-func Collect(s Stream) *Trace {
+// Collect drains a stream into a trace. It is the inverse of
+// FromTrace: Collect(FromTrace(tr)) reproduces tr exactly.
+func Collect(s Stream) *Trace { return CollectN(s, 0) }
+
+// CollectN is Collect with the request slice pre-sized for n requests,
+// for callers that know the stream's length up front (Generate,
+// scenario.Scenario.Trace): a large trace then lands in one allocation
+// instead of a doubling series. n is only a capacity hint; the trace
+// holds exactly what the stream yields. Requests are pulled through
+// the stream's NextInto fast path.
+func CollectN(s Stream, n int) *Trace {
 	tr := &Trace{}
-	for r, ok := s.Next(); ok; r, ok = s.Next() {
+	if n > 0 {
+		tr.Requests = make([]Request, 0, n)
+	}
+	next := NextIntoFunc(s)
+	var r Request
+	for next(&r) {
 		tr.Requests = append(tr.Requests, r)
 	}
 	return tr
@@ -121,9 +132,7 @@ func Collect(s Stream) *Trace {
 
 // FunctionStream yields one function's requests in generation order,
 // which for the generator is also strictly increasing arrival order.
-// Durations arrive already rescaled to the configured trace mean, so a
-// FunctionStream's requests are bit-identical to the matching subset of
-// Generate's output.
+// Durations arrive already rescaled to the configured trace mean.
 type FunctionStream struct {
 	em    fnEmitter
 	count int
@@ -150,8 +159,8 @@ func (f *FunctionStream) NextInto(r *Request) bool {
 		return false
 	}
 	if f.scale > 0 {
-		// Mirror rescaleDurations exactly: scale wall clock and CPU time
-		// by the same factor, preserving utilization rates.
+		// Scale wall clock and CPU time by the same factor, preserving
+		// utilization rates.
 		r.Duration = rescaled(r.Duration, f.scale)
 		r.CPUTime = time.Duration(float64(r.CPUTime) * f.scale)
 	}
@@ -437,8 +446,8 @@ func (l *lazyScan) NextInto(r *Request) bool {
 }
 
 // GenerateByFunction returns one time-ordered stream per function of
-// the trace Generate(cfg) would materialize, plus the total pod count.
-// The union of the streams is exactly Generate's request multiset; the
+// the trace GenerateStream(cfg) emits, plus the total pod count. The
+// union of the streams is exactly the trace's request multiset; the
 // scenario engine re-times each function's stream independently and
 // GenerateStream merges them back into one globally ordered stream.
 // Callers opening the same configuration repeatedly should Calibrate
@@ -448,13 +457,10 @@ func GenerateByFunction(cfg GeneratorConfig) ([]*FunctionStream, int) {
 	return c.Streams(), c.Pods()
 }
 
-// GenerateStream emits the trace Generate(cfg) materializes as a
-// time-ordered stream with O(Functions) memory: per-function emitters
-// merged by arrival time. The emitted sequence is identical to
-// Generate's, ties included: simultaneous arrivals merge in function
-// order, which is exactly the order Generate's stable sort leaves them
-// in (its pre-sort layout is function-major, and arrivals within one
-// function are strictly increasing).
+// GenerateStream emits the synthetic trace under cfg as a time-ordered
+// stream with O(Functions) memory: per-function emitters merged by
+// arrival time, simultaneous arrivals in function order. It is the
+// generator; Generate collects it.
 func GenerateStream(cfg GeneratorConfig) Stream {
 	return Calibrate(cfg).Stream()
 }

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -26,40 +29,59 @@ func TestCollectFromTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGenerateStreamMatchesGenerate is the streaming generator's core
-// contract: Collect(GenerateStream(cfg)) is bit-identical to
-// Generate(cfg) across seeds, sizes, skews, and flavor biases — the
-// per-function lazy emitters plus merge reproduce the materialize-and-
-// sort path exactly.
+// requestsDigest is the SHA-256 of a request sequence, one %+v line per
+// request: every field, floats in their shortest exact form.
+func requestsDigest(reqs []Request) string {
+	h := sha256.New()
+	for _, r := range reqs {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGenerateStreamMatchesGenerate pins the generator's output across
+// seeds, sizes, skews, and flavor biases to SHA-256 digests. The
+// digests were captured when Generate was still a separate emit-then-
+// sort implementation that matched the stream request for request, so
+// folding Generate into a collect of GenerateStream moved no byte; any
+// later drift in the emitters, the calibration, or the merge fails
+// here. Generate is checked too: its pre-sized collect must not change
+// what the stream yields.
 func TestGenerateStreamMatchesGenerate(t *testing.T) {
-	cases := []GeneratorConfig{
-		{}, // zero config: both paths must yield an empty trace
-		func() GeneratorConfig {
+	cases := []struct {
+		cfg    GeneratorConfig
+		digest string
+	}{
+		{GeneratorConfig{}, emptyDigest}, // zero config: an empty trace
+		{func() GeneratorConfig {
 			c := DefaultGeneratorConfig()
 			c.Requests = 5000
 			return c
-		}(),
-		{Requests: 2000, Functions: 50, Seed: 1},
-		{Requests: 100, Functions: 400, Seed: 2}, // more functions than requests
-		{Requests: 3000, Functions: 30, Seed: 3, ZipfExponent: 1.8, FlavorBias: 1},
-		{Requests: 3000, Functions: 30, Seed: 4, ZipfExponent: 0.4, FlavorBias: -2},
-		{Requests: 1000, Functions: 1, Seed: 5},
-		{Requests: 2500, Functions: 80, Seed: 6, ColdStartRate: 0.3, MeanDurationMs: 500},
+		}(), "b829c3ceddfb5a511753db40f6d490ee88b7305fee5812b8998efbc9e84abdab"},
+		{GeneratorConfig{Requests: 2000, Functions: 50, Seed: 1}, "f54177d0eacee963a7f15e957d5f1803ddc306706633deb61db445103907769e"},
+		{GeneratorConfig{Requests: 100, Functions: 400, Seed: 2}, "aeb48008511dad48ffb2d6cc04481c44d422a564dc540fbc7303b36c95898925"}, // more functions than requests
+		{GeneratorConfig{Requests: 3000, Functions: 30, Seed: 3, ZipfExponent: 1.8, FlavorBias: 1}, "adf5e7d0de53bf9259c93acdc38ed78687be39e36a989b775be9a3972f0035c5"},
+		{GeneratorConfig{Requests: 3000, Functions: 30, Seed: 4, ZipfExponent: 0.4, FlavorBias: -2}, "4c85bc4e8f8bac32c14cd8e4bd3cce4ebe6cc08f225813ed74be631ea964492a"},
+		{GeneratorConfig{Requests: 1000, Functions: 1, Seed: 5}, "dfd16017c6d3cd3fbd2bbfb72a3498252b6541e7d614d0bc16120831aea28a97"},
+		{GeneratorConfig{Requests: 2500, Functions: 80, Seed: 6, ColdStartRate: 0.3, MeanDurationMs: 500}, "2e8ad90365f9c95b44cef89bf855bb2f81eb105969d59f2048ea25f47889287f"},
 	}
-	for _, cfg := range cases {
-		want := Generate(cfg)
-		got := Collect(GenerateStream(cfg))
-		if got.Len() != want.Len() {
-			t.Fatalf("cfg %+v: stream emitted %d requests, Generate %d", cfg, got.Len(), want.Len())
+	for _, c := range cases {
+		streamed := Collect(GenerateStream(c.cfg))
+		if got := requestsDigest(streamed.Requests); got != c.digest {
+			t.Errorf("cfg %+v: stream digest %s, want %s", c.cfg, got, c.digest)
 		}
-		for i := range want.Requests {
-			if got.Requests[i] != want.Requests[i] {
-				t.Fatalf("cfg %+v: request %d differs:\nstream:   %+v\ngenerate: %+v",
-					cfg, i, got.Requests[i], want.Requests[i])
-			}
+		gen := Generate(c.cfg)
+		if got := requestsDigest(gen.Requests); got != c.digest {
+			t.Errorf("cfg %+v: Generate digest %s, want %s", c.cfg, got, c.digest)
+		}
+		if n := max(c.cfg.Requests, 0); gen.Len() != n {
+			t.Errorf("cfg %+v: Generate yielded %d requests, want %d", c.cfg, gen.Len(), n)
 		}
 	}
 }
+
+// emptyDigest is the SHA-256 of no input.
+const emptyDigest = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 // TestGenerateStreamOrdered pins the Stream contract itself: arrivals
 // never move backwards.
