@@ -42,6 +42,17 @@ import (
 	"slscost/internal/distsweep"
 )
 
+// Connection timeouts bound what a client that stops talking can hold:
+// a connection that has not finished its request header within
+// readHeaderTimeout, or sits idle between keep-alive requests for
+// idleTimeout, is closed. No read or write timeout covers a whole
+// request, because job event streams stay open for as long as the job
+// runs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -98,7 +109,7 @@ func run(ctx context.Context, args []string, w io.Writer, ready chan<- string) e
 		ready <- bound
 	}
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,14 @@ import (
 // client for it plus the daemon's log buffer; cleanup shuts it down
 // and asserts a clean exit.
 func startDaemon(t *testing.T, args ...string) (*api.Client, *bytes.Buffer) {
+	t.Helper()
+	addr, out := startDaemonAt(t, args...)
+	return api.NewClient(addr), out
+}
+
+// startDaemonAt is startDaemon returning the bound address instead of
+// a client, for tests that talk raw TCP.
+func startDaemonAt(t *testing.T, args ...string) (string, *bytes.Buffer) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var out bytes.Buffer
@@ -44,7 +54,33 @@ func startDaemon(t *testing.T, args ...string) (*api.Client, *bytes.Buffer) {
 			t.Error("daemon did not shut down")
 		}
 	})
-	return api.NewClient(addr), &out
+	return addr, &out
+}
+
+// TestDaemonClosesStalledHeader: a client that sends half a request
+// header and then stalls has its connection closed once
+// readHeaderTimeout passes, instead of holding it open forever.
+func TestDaemonClosesStalledHeader(t *testing.T) {
+	t.Parallel()
+	addr, _ := startDaemonAt(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /v1/health HTTP/1.1\r\nHost: slscostd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection still open %v later: %v", time.Since(start), err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
 }
 
 func TestVersionFlag(t *testing.T) {

@@ -9,7 +9,8 @@ import (
 // daemon's first contact with untrusted input — and checks its
 // invariants: no panic, and anything accepted is well-formed (shaped
 // method name, explicit seed) and survives a marshal/decode round
-// trip with the same method and seed.
+// trip with the same method and seed. Appending a closing bracket to
+// an accepted spec must make it rejected.
 func FuzzDecodeJobSpec(f *testing.F) {
 	f.Add([]byte(`{"method":"fleet.simulate","seed":7}`))
 	f.Add([]byte(`{"method":"opt.sweep","seed":0,"params":{"requests":1000,"scenarios":["steady"]}}`))
@@ -20,10 +21,17 @@ func FuzzDecodeJobSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"method":"fleet.simulate","seed":7}{"method":"fleet.simulate","seed":8}`))
+	f.Add([]byte(`{"method":"fleet.simulate","seed":1}]]]garbage`))
+	f.Add([]byte(`{"method":"fleet.simulate","seed":1}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := DecodeJobSpec(data)
 		if err != nil {
 			return
+		}
+		for _, tail := range []string{"}", "]"} {
+			if _, err := DecodeJobSpec(append(append([]byte{}, data...), tail...)); err == nil {
+				t.Fatalf("accepted %q followed by %q", data, tail)
+			}
 		}
 		if !methodNameRE.MatchString(spec.Method) {
 			t.Fatalf("accepted malformed method %q", spec.Method)

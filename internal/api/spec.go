@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -13,6 +12,7 @@ import (
 	"slscost/internal/opt"
 	"slscost/internal/scenario"
 	"slscost/internal/scenario/faults"
+	"slscost/internal/strictjson"
 	"slscost/internal/trace"
 )
 
@@ -71,13 +71,8 @@ const maxSpecBytes = 1 << 20
 // errors. Params content is left for the method to validate.
 func DecodeJobSpec(data []byte) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := strictjson.Decode(data, &spec); err != nil {
 		return JobSpec{}, fmt.Errorf("api: decoding job spec: %w", err)
-	}
-	if dec.More() {
-		return JobSpec{}, fmt.Errorf("api: job spec has trailing data")
 	}
 	if !methodNameRE.MatchString(spec.Method) {
 		return JobSpec{}, fmt.Errorf("api: job spec method %q is not namespace.method shaped", spec.Method)
@@ -205,13 +200,8 @@ func decodeParams(raw json.RawMessage, dst any) error {
 	if len(raw) == 0 {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := strictjson.Decode(raw, dst); err != nil {
 		return fmt.Errorf("api: decoding params: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("api: params have trailing data")
 	}
 	return nil
 }

@@ -24,6 +24,8 @@ func TestDecodeJobSpec(t *testing.T) {
 		{"no namespace", `{"method":"simulate","seed":7}`, "not namespace.method"},
 		{"uppercase method", `{"method":"Fleet.Simulate","seed":7}`, "not namespace.method"},
 		{"trailing garbage", `{"method":"fleet.simulate","seed":7}{}`, "trailing data"},
+		{"trailing brackets", `{"method":"fleet.simulate","seed":1}]]]garbage`, "trailing data"},
+		{"trailing braces", `{"method":"fleet.simulate","seed":1}}}`, "trailing data"},
 		{"not json", `hello`, "decoding job spec"},
 		{"wrong seed type", `{"method":"fleet.simulate","seed":"7"}`, "decoding job spec"},
 	}

@@ -10,6 +10,7 @@ import (
 
 	"slscost/internal/api"
 	"slscost/internal/opt"
+	"slscost/internal/strictjson"
 )
 
 // Params is the opt.distsweep job spec: every field opt.sweep
@@ -90,13 +91,8 @@ func decodeParams(raw json.RawMessage, dst any) error {
 	if len(raw) == 0 {
 		raw = []byte("{}")
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := strictjson.Decode(raw, dst); err != nil {
 		return fmt.Errorf("distsweep: bad params: %w", err)
-	}
-	if dec.More() {
-		return fmt.Errorf("distsweep: trailing data after params")
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package distsweep
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"sync"
 
 	"slscost/internal/opt"
+	"slscost/internal/strictjson"
 )
 
 // ProtocolVersion is the wire-format generation this build speaks.
@@ -250,13 +250,8 @@ func writeMsg(w io.Writer, mu *sync.Mutex, t MsgType, v any) error {
 // fields are a protocol error, because both ends gate on
 // ProtocolVersion and must agree on every payload shape.
 func decodeMsg(payload []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := strictjson.Decode(payload, dst); err != nil {
 		return &ProtocolError{Reason: "bad payload: " + err.Error()}
-	}
-	if dec.More() {
-		return &ProtocolError{Reason: "trailing data after payload"}
 	}
 	return nil
 }

@@ -134,3 +134,39 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestStrictPayloadDecoders pins both distsweep JSON decoders — frame
+// payloads (decodeMsg) and job params (decodeParams) — to exactly one
+// value with known fields: trailing values, stray closing brackets and
+// garbage are rejected, and a payload fault is a *ProtocolError.
+func TestStrictPayloadDecoders(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"version":1}`, true},
+		{"{\"version\":1}\n", true},
+		{`{"version":1}}`, false},
+		{`{"version":1}]`, false},
+		{`{"version":1}]]]garbage`, false},
+		{`{"version":1}{"version":2}`, false},
+		{`{"version":1,"extra":0}`, false},
+		{`{"version":`, false},
+	} {
+		var hello helloMsg
+		err := decodeMsg([]byte(c.body), &hello)
+		if c.ok != (err == nil) {
+			t.Errorf("decodeMsg(%q) = %v, want ok=%v", c.body, err, c.ok)
+		}
+		var pe *ProtocolError
+		if err != nil && !errors.As(err, &pe) {
+			t.Errorf("decodeMsg(%q) = %T, want *ProtocolError", c.body, err)
+		}
+		var params struct {
+			Version byte `json:"version"`
+		}
+		if err := decodeParams([]byte(c.body), &params); c.ok != (err == nil) {
+			t.Errorf("decodeParams(%q) = %v, want ok=%v", c.body, err, c.ok)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"slscost/internal/core"
 	"slscost/internal/keepalive"
+	"slscost/internal/scenario"
 	"slscost/internal/trace"
 )
 
@@ -118,4 +119,47 @@ func TestDeciderSpecValidatedByConfig(t *testing.T) {
 	if _, err := Simulate(cfg, deciderTestTrace()); err == nil {
 		t.Error("seedless adaptive spec accepted")
 	}
+}
+
+// BenchmarkAdaptiveReplay measures a replay of a recorded four-tenant
+// flash crowd under adaptive keep-alive on one worker: one decider per
+// (host, function) pair, each consulted at every idle transition.
+// Benchguard pins its B/op, so per-decider state that grows with the
+// histogram's declared range rather than the gaps it has seen shows up
+// here.
+func BenchmarkAdaptiveReplay(b *testing.B) {
+	sc, ok := scenario.ByName("flash-crowd")
+	if !ok {
+		b.Fatal("unknown scenario flash-crowd")
+	}
+	scfg := scenario.DefaultConfig()
+	scfg.Base.Requests = 20_000
+	scfg.Base.Seed = 17
+	scfg.Tenants = 4
+	tr, err := sc.Trace(scfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed := uint64(17)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pol, err := NewPolicy("least-loaded")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := Config{
+			Hosts: 16, Host: DefaultHostSpec(), Policy: pol, Profile: core.AWS(),
+			Workers: 1, Overcommit: 2, Seed: seed,
+			KeepAlive: &keepalive.Spec{Mode: keepalive.ModeAdaptive, Seed: &seed},
+		}
+		rep, err := Simulate(cfg, tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.AdaptiveLearnedDecisions == 0 {
+			b.Fatal("adaptive replay learned nothing")
+		}
+	}
+	b.SetBytes(int64(scfg.Base.Requests)) // requests/sec
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"slscost/internal/core"
+	"slscost/internal/keepalive"
 	"slscost/internal/scenario"
 	"slscost/internal/scenario/faults"
 	"slscost/internal/trace"
@@ -78,35 +79,44 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			rep.WriteText(&buf)
-
-			path := filepath.Join("testdata", c.name+".golden")
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("report drifted from fixture %s (regenerate with -update if intended):\ngot:\n%s\nwant:\n%s",
-					path, buf.Bytes(), want)
-			}
+			checkGolden(t, c.name, rep)
 		})
 	}
 }
 
+// checkGolden renders rep with WriteText and compares it byte-for-byte
+// against testdata/<name>.golden, or rewrites the fixture under -update.
+func checkGolden(t *testing.T, name string, rep Report) {
+	t.Helper()
+	var buf bytes.Buffer
+	rep.WriteText(&buf)
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("report drifted from fixture %s (regenerate with -update if intended):\ngot:\n%s\nwant:\n%s",
+			path, buf.Bytes(), want)
+	}
+}
+
 // TestGoldenFaultReports pins the fault-injected report rendering the
-// same way: two catalog fault profiles over catalog scenario traces,
+// same way: catalog fault profiles over catalog scenario traces,
 // compared byte-for-byte (recovery quantiles, availability, and the
-// eviction tallies included). Regenerate with -update.
+// eviction tallies included). The adaptive case is the repository
+// benchmark's churn shape at test size — a four-tenant flash crowd on
+// 16 hosts under the adaptive keep-alive decider, whose histogram
+// state no other fixture reaches. Regenerate with -update.
 func TestGoldenFaultReports(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -114,11 +124,18 @@ func TestGoldenFaultReports(t *testing.T) {
 		profile  string
 		policy   string
 		prof     core.Profile
+		hosts    int
+		requests int
+		tenants  int
+		adaptive bool
 	}{
 		{name: "faults_diurnal_crashes", scenario: "diurnal",
-			profile: "crashes", policy: "least-loaded", prof: core.AWS()},
+			profile: "crashes", policy: "least-loaded", prof: core.AWS(), hosts: 4, requests: 3000},
 		{name: "faults_flash_crowd_chaos", scenario: "flash-crowd",
-			profile: "chaos", policy: "bin-pack", prof: core.GCP()},
+			profile: "chaos", policy: "bin-pack", prof: core.GCP(), hosts: 4, requests: 3000},
+		{name: "adaptive_flash_crowd_crashes", scenario: "flash-crowd",
+			profile: "crashes", policy: "least-loaded", prof: core.AWS(), hosts: 16, requests: 20000,
+			tenants: 4, adaptive: true},
 	}
 	for _, c := range cases {
 		c := c
@@ -128,8 +145,9 @@ func TestGoldenFaultReports(t *testing.T) {
 				t.Fatalf("unknown scenario %s", c.scenario)
 			}
 			scfg := scenario.DefaultConfig()
-			scfg.Base.Requests = 3000
+			scfg.Base.Requests = c.requests
 			scfg.Base.Seed = 7
+			scfg.Tenants = c.tenants
 			tr, err := sc.Trace(scfg)
 			if err != nil {
 				t.Fatal(err)
@@ -139,8 +157,11 @@ func TestGoldenFaultReports(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := Config{
-				Hosts: 4, Host: DefaultHostSpec(), Policy: pol, Profile: c.prof,
+				Hosts: c.hosts, Host: DefaultHostSpec(), Policy: pol, Profile: c.prof,
 				Workers: 2, Overcommit: 2, Seed: 7,
+			}
+			if c.adaptive {
+				cfg.KeepAlive = &keepalive.Spec{Mode: keepalive.ModeAdaptive, Seed: &cfg.Seed}
 			}
 			fp, err := faults.ByName(c.profile)
 			if err != nil {
@@ -156,24 +177,10 @@ func TestGoldenFaultReports(t *testing.T) {
 			if rep.EvictedSandboxes+rep.KilledRequests+rep.DeferredRequests+rep.FaultMaskedPods == 0 {
 				t.Fatalf("profile %s perturbed nothing; the fixture would pin a fault-free run", c.profile)
 			}
-			var buf bytes.Buffer
-			rep.WriteText(&buf)
-
-			path := filepath.Join("testdata", c.name+".golden")
-			if *update {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
+			if c.adaptive && rep.AdaptiveLearnedDecisions == 0 {
+				t.Fatal("no adaptive decision came from a learned histogram; the fixture would pin only the fallback")
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (regenerate with -update)", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("report drifted from fixture %s (regenerate with -update if intended):\ngot:\n%s\nwant:\n%s",
-					path, buf.Bytes(), want)
-			}
+			checkGolden(t, c.name, rep)
 		})
 	}
 }

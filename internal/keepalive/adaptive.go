@@ -24,6 +24,12 @@ import (
 // so old behavior decays geometrically and the plan tracks
 // non-stationary traffic (diurnal shifts, flash crowds) instead of
 // averaging over the whole trace.
+//
+// A fleet holds one decider per (host, function) pair, so the state is
+// sized by what the function has shown: the bins grow only up to the
+// longest in-range gap observed, the overflow bin is a single counter,
+// and the two plan quantiles are cursors that each observation moves
+// past at most a few bins, so a decision reads them without a scan.
 
 // Adaptive is the windowed-histogram TTL decider. It subsumes the old
 // standalone PredictiveWarmer: the histogram, quantile plan, and
@@ -33,10 +39,16 @@ import (
 type Adaptive struct {
 	// binWidth is the histogram resolution.
 	binWidth time.Duration
-	// bins counts idle times per binWidth bucket; the last bin absorbs
-	// the out-of-range tail.
-	bins  []int
-	total int
+	// bins counts idle times per binWidth bucket, up to the highest
+	// bin observed so far; later in-range bins are empty.
+	bins []int
+	// top is the overflow bin's index (maxIdle/binWidth); overflow
+	// counts the idle times that land there, the out-of-range tail.
+	top      int
+	overflow int
+	total    int
+	// lo and hi track the 5th and 99th percentile bins of the plan.
+	lo, hi quantileCursor
 	// minSamples gates predictions until the histogram is trustworthy.
 	minSamples int
 	// maxSamples is the windowing cap: when total reaches it, every bin
@@ -62,10 +74,11 @@ func NewAdaptive(maxIdle, binWidth, fallback time.Duration) (*Adaptive, error) {
 	if fallback < 0 {
 		return nil, fmt.Errorf("keepalive: negative fallback window")
 	}
-	n := int(maxIdle/binWidth) + 1 // +1 overflow bin
 	return &Adaptive{
 		binWidth:   binWidth,
-		bins:       make([]int, n),
+		top:        int(maxIdle / binWidth),
+		lo:         quantileCursor{q: 0.05},
+		hi:         quantileCursor{q: 0.99},
 		minSamples: 8,
 		maxSamples: 4096,
 		headroom:   0.10,
@@ -84,18 +97,80 @@ func (a *Adaptive) ObserveIdle(gap time.Duration) {
 		return
 	}
 	i := int(gap / a.binWidth)
-	if i >= len(a.bins) {
-		i = len(a.bins) - 1
+	if i >= a.top {
+		i = a.top
+		a.overflow++
+	} else {
+		if i >= len(a.bins) {
+			a.bins = append(a.bins, make([]int, i+1-len(a.bins))...)
+		}
+		a.bins[i]++
 	}
-	a.bins[i]++
 	a.total++
 	if a.total >= a.maxSamples {
-		a.total = 0
+		a.overflow /= 2
+		a.total = a.overflow
 		for j, c := range a.bins {
 			a.bins[j] = c / 2
 			a.total += a.bins[j]
 		}
+		a.lo = quantileCursor{q: a.lo.q}
+		a.hi = quantileCursor{q: a.hi.q}
 	}
+	a.step(&a.lo, i)
+	a.step(&a.hi, i)
+}
+
+// quantileCursor follows one quantile of the histogram: bin is the
+// smallest bin whose cumulative count exceeds ⌊q·total⌋ (bin 0 while
+// the histogram is empty), and below is the count in the bins before
+// it.
+type quantileCursor struct {
+	q     float64
+	bin   int
+	below int
+}
+
+// step restores c after one idle time landed in bin i. The quantile's
+// rank moves by at most one observation, so c passes only empty bins
+// on its way to the neighbouring non-empty one, and the unallocated
+// run between the last bin and the overflow bin takes a single step.
+// From bin 0 with nothing below, the same walk recomputes c from
+// scratch, which is how ObserveIdle resets both cursors after halving.
+func (a *Adaptive) step(c *quantileCursor, i int) {
+	if a.total == 0 {
+		c.bin, c.below = 0, 0
+		return
+	}
+	if i < c.bin {
+		c.below++
+	}
+	want := int(c.q * float64(a.total))
+	for c.below > want {
+		c.bin--
+		if c.bin >= len(a.bins) {
+			c.bin = len(a.bins) - 1
+		}
+		c.below -= a.count(c.bin)
+	}
+	for c.below+a.count(c.bin) <= want {
+		c.below += a.count(c.bin)
+		c.bin++
+		if c.bin >= len(a.bins) {
+			c.bin = a.top
+		}
+	}
+}
+
+// count returns the idle times recorded in bin i, overflow included.
+func (a *Adaptive) count(i int) int {
+	switch {
+	case i == a.top:
+		return a.overflow
+	case i < len(a.bins):
+		return a.bins[i]
+	}
+	return 0
 }
 
 // Samples returns the number of observations currently represented in
@@ -128,12 +203,11 @@ func (a *Adaptive) plan() (preWarm, keepAlive time.Duration, learned bool) {
 		return 0, a.fallback, false
 	}
 	// Overflow-dominated distributions are unpredictable.
-	if float64(a.bins[len(a.bins)-1]) > 0.5*float64(a.total) {
+	if float64(a.overflow) > 0.5*float64(a.total) {
 		return 0, a.fallback, false
 	}
 	// 5th and 99th percentiles of the histogram.
-	lo := a.quantileBin(0.05)
-	hi := a.quantileBin(0.99)
+	lo, hi := a.lo.bin, a.hi.bin
 	preWarm = time.Duration(float64(lo) * (1 - a.headroom) * float64(a.binWidth))
 	keepAlive = time.Duration(float64(hi+1) * (1 + a.headroom) * float64(a.binWidth))
 	if preWarm < 0 {
@@ -150,22 +224,6 @@ func (a *Adaptive) plan() (preWarm, keepAlive time.Duration, learned bool) {
 func (a *Adaptive) Plan() (preWarm, keepAlive time.Duration) {
 	preWarm, keepAlive, _ = a.plan()
 	return preWarm, keepAlive
-}
-
-// quantileBin returns the bin index at cumulative fraction q.
-func (a *Adaptive) quantileBin(q float64) int {
-	if a.total == 0 {
-		return 0
-	}
-	want := int(q * float64(a.total))
-	acc := 0
-	for i, c := range a.bins {
-		acc += c
-		if acc > want {
-			return i
-		}
-	}
-	return len(a.bins) - 1
 }
 
 // WouldBeCold reports whether an arrival after the given idle time

@@ -168,3 +168,141 @@ func TestHistogramWindowing(t *testing.T) {
 		t.Errorf("plan after shift = %v, want ≥ 30m", keep)
 	}
 }
+
+// quantileBin is the linear-scan reference for the tracked quantile
+// cursors: the bin index at cumulative fraction q, scanning every bin
+// up to and including the overflow bin.
+func (a *Adaptive) quantileBin(q float64) int {
+	if a.total == 0 {
+		return 0
+	}
+	want := int(q * float64(a.total))
+	acc := 0
+	for i := 0; i <= a.top; i++ {
+		acc += a.count(i)
+		if acc > want {
+			return i
+		}
+	}
+	return a.top
+}
+
+// refAdaptive is the full-array reference histogram: every bin of the
+// range allocated up front, the last one the overflow bin, halved in
+// place at the windowing cap.
+type refAdaptive struct {
+	bins  []int
+	total int
+}
+
+func (r *refAdaptive) observe(a *Adaptive, gap time.Duration) {
+	if gap < 0 {
+		return
+	}
+	i := min(int(gap/a.binWidth), len(r.bins)-1)
+	r.bins[i]++
+	r.total++
+	if r.total >= a.maxSamples {
+		r.total = 0
+		for j, c := range r.bins {
+			r.bins[j] = c / 2
+			r.total += r.bins[j]
+		}
+	}
+}
+
+// TestAdaptiveTrackedQuantilesMatchScan feeds random idle-gap streams
+// (regular periods with jitter, uniform spreads, gaps at and past
+// maxIdle, negative gaps, and shifts between them) through deciders of
+// several shapes, long enough to halve many times. After every
+// observation the lazily grown bins must equal the full-array
+// reference, both tracked quantile bins must equal the linear scan,
+// and Plan must equal the plan computed from the scanned bins.
+func TestAdaptiveTrackedQuantilesMatchScan(t *testing.T) {
+	shapes := []struct {
+		maxIdle, bin time.Duration
+		maxSamples   int
+	}{
+		{2 * time.Hour, 15 * time.Second, 4096}, // the spec default
+		{10 * time.Minute, time.Minute, 4096},   // overflow-heavy
+		{2 * time.Hour, 15 * time.Second, 64},   // halving to (nearly) empty
+		{time.Minute, time.Minute, 100},         // in-range bin 0 and overflow only
+	}
+	for si, sh := range shapes {
+		a, err := NewAdaptive(sh.maxIdle, sh.bin, 5*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.maxSamples = sh.maxSamples
+		ref := refAdaptive{bins: make([]int, int(sh.maxIdle/sh.bin)+1)}
+		rng := stats.NewRand(uint64(90 + si))
+		period := time.Duration(rng.Uniform(0, 1.2) * float64(sh.maxIdle))
+		for step := 0; step < 30000; step++ {
+			if step%2500 == 0 { // shift the traffic pattern
+				period = time.Duration(rng.Uniform(0, 1.2) * float64(sh.maxIdle))
+			}
+			var gap time.Duration
+			switch k := rng.Uint64() % 20; {
+			case k == 0:
+				gap = -time.Second
+			case k == 1:
+				gap = sh.maxIdle
+			case k == 2:
+				gap = sh.maxIdle * time.Duration(1+rng.Uint64()%100)
+			case k < 8:
+				gap = time.Duration(rng.Uniform(0, 1.3) * float64(sh.maxIdle))
+			default:
+				gap = period + time.Duration(rng.Uniform(-0.05, 0.05)*float64(sh.maxIdle))
+			}
+			a.ObserveIdle(gap)
+			ref.observe(a, gap)
+
+			if a.Samples() != ref.total {
+				t.Fatalf("shape %d step %d: samples %d, reference %d", si, step, a.Samples(), ref.total)
+			}
+			for i, c := range ref.bins {
+				if got := a.count(i); got != c {
+					t.Fatalf("shape %d step %d: bin %d holds %d, reference %d", si, step, i, got, c)
+				}
+			}
+			if len(a.bins) > a.top {
+				t.Fatalf("shape %d step %d: %d bins allocated for %d in-range bins", si, step, len(a.bins), a.top)
+			}
+			lo, hi := a.quantileBin(0.05), a.quantileBin(0.99)
+			if a.lo.bin != lo || a.hi.bin != hi {
+				t.Fatalf("shape %d step %d: tracked bins (%d, %d), scan (%d, %d)", si, step, a.lo.bin, a.hi.bin, lo, hi)
+			}
+			wantPre, wantKeep := time.Duration(0), a.fallback
+			if a.total >= a.minSamples && float64(a.overflow) <= 0.5*float64(a.total) {
+				wantPre = max(time.Duration(float64(lo)*(1-a.headroom)*float64(a.binWidth)), 0)
+				wantKeep = time.Duration(float64(hi+1) * (1 + a.headroom) * float64(a.binWidth))
+			}
+			if pre, keep := a.Plan(); pre != wantPre || keep != wantKeep {
+				t.Fatalf("shape %d step %d: Plan (%v, %v), scan (%v, %v)", si, step, pre, keep, wantPre, wantKeep)
+			}
+		}
+	}
+}
+
+// TestAdaptiveBinsGrowWithObservations pins the storage rule: no bins
+// before an observation, bins up to the longest in-range gap after,
+// and an overflow gap allocates no bin at all.
+func TestAdaptiveBinsGrowWithObservations(t *testing.T) {
+	a, err := NewAdaptive(2*time.Hour, 15*time.Second, 5*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.bins != nil {
+		t.Fatalf("new decider holds %d bins", len(a.bins))
+	}
+	a.ObserveIdle(10 * time.Hour)
+	if a.bins != nil || a.overflow != 1 {
+		t.Fatalf("overflow gap: %d bins, overflow %d; want no bins, overflow 1", len(a.bins), a.overflow)
+	}
+	for i := 0; i < 100; i++ {
+		a.ObserveIdle(time.Duration(i%10) * 10 * time.Second)
+	}
+	if len(a.bins) != 7 { // 90 s / 15 s = bin 6
+		t.Errorf("gaps up to 90 s hold %d bins, want 7", len(a.bins))
+	}
+}

@@ -1,11 +1,11 @@
 package keepalive
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
+
+	"slscost/internal/strictjson"
 )
 
 // Spec selects and parameterizes a Decider over the wire and in fleet
@@ -63,14 +63,9 @@ func DecodeSpec(r io.Reader) (*Spec, error) {
 	if len(data) > maxSpecBytes {
 		return nil, fmt.Errorf("keepalive: spec exceeds %d bytes", maxSpecBytes)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(data, &s); err != nil {
 		return nil, fmt.Errorf("keepalive: decode spec: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("keepalive: trailing data after spec")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

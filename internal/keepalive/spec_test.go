@@ -47,6 +47,8 @@ func TestDecodeSpecRejects(t *testing.T) {
 	}{
 		{"unknown-field", `{"mode":"static","ttl":"60s"}`},
 		{"trailing-data", `{"mode":"static"} {}`},
+		{"trailing-brace", `{"mode":"static"}}`},
+		{"trailing-bracket", `{"mode":"static"}]`},
 		{"bad-mode", `{"mode":"thompson","seed":1}`},
 		{"empty-mode", `{"seed":1}`},
 		{"adaptive-missing-seed", `{"mode":"adaptive"}`},
@@ -119,7 +121,8 @@ func TestNewDeciderPerMode(t *testing.T) {
 // FuzzDecodePolicySpec hardens the wire decoder: no input may panic
 // it, and every accepted spec must round-trip (marshal → decode →
 // equal) so the canonical form the plan cache and sweep keys see is
-// stable.
+// stable. Appending a closing bracket to an accepted spec must make it
+// rejected.
 func FuzzDecodePolicySpec(f *testing.F) {
 	f.Add([]byte(`{"mode":"static"}`))
 	f.Add([]byte(`{"mode":"adaptive","seed":7}`))
@@ -128,10 +131,17 @@ func FuzzDecodePolicySpec(f *testing.F) {
 	f.Add([]byte(`{"mode":"thompson"}`))
 	f.Add([]byte(`{"mode":"static"} {}`))
 	f.Add([]byte(`{"mode":"adaptive","seed":1,"bin_width":"-1s"}`))
+	f.Add([]byte(`{"mode":"static"}}`))
+	f.Add([]byte(`{"mode":"static"}]]]garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSpec(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, tail := range []string{"}", "]"} {
+			if _, err := DecodeSpec(bytes.NewReader(append(append([]byte{}, data...), tail...))); err == nil {
+				t.Fatalf("accepted %q followed by %q", data, tail)
+			}
 		}
 		out, err := json.Marshal(s)
 		if err != nil {

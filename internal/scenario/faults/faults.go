@@ -17,11 +17,12 @@
 package faults
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"time"
+
+	"slscost/internal/strictjson"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -296,13 +297,8 @@ func (s *Spec) Enabled() bool {
 // JSON smuggled them in).
 func DecodeFaultSpec(data []byte) (*Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := strictjson.Decode(data, &spec); err != nil {
 		return nil, fmt.Errorf("faults: decoding spec: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("faults: spec has trailing data")
 	}
 	if len(spec.Drains) == 0 {
 		// Canonicalize an explicit empty drain list to the absent form,

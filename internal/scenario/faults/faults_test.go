@@ -88,6 +88,8 @@ func TestDecodeFaultSpecStrictness(t *testing.T) {
 	bad := []struct{ name, body string }{
 		{"unknown field", `{"crash":{"rate":2,"restart":"90s","typo":1}}`},
 		{"trailing data", `{"storm":{"at":0.5}}{"storm":{"at":0.6}}`},
+		{"trailing brace", `{}}`},
+		{"trailing bracket", `{"storm":{"at":0.5}}]`},
 		{"numeric duration", `{"crash":{"rate":2,"restart":90}}`},
 		{"malformed duration", `{"crash":{"rate":2,"restart":"ninety"}}`},
 		{"array body", `[]`},

@@ -11,7 +11,8 @@ import (
 // checks its invariants: no panic, anything accepted re-validates
 // (NaN/negative rates and overlapping drain windows can never slip
 // through), and an accepted spec survives a marshal/decode round trip
-// unchanged.
+// unchanged. Appending a closing bracket to an accepted spec must make
+// it rejected: trailing data is an error however it starts.
 func FuzzDecodeFaultSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"crash":{"rate":3,"restart":"2m"}}`))
@@ -27,10 +28,17 @@ func FuzzDecodeFaultSpec(f *testing.F) {
 	f.Add([]byte(`{"storm":{"at":0.5}}{"storm":{"at":0.6}}`))
 	f.Add([]byte(`{"unknown_axis":true}`))
 	f.Add([]byte(`[]`))
+	f.Add([]byte(`{}}`))
+	f.Add([]byte(`{"storm":{"at":0.5}}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := DecodeFaultSpec(data)
 		if err != nil {
 			return
+		}
+		for _, tail := range []string{"}", "]"} {
+			if _, err := DecodeFaultSpec(append(append([]byte{}, data...), tail...)); err == nil {
+				t.Fatalf("accepted %q followed by %q", data, tail)
+			}
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("accepted spec fails validation: %v", err)

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // This file is the merge-exact histogram primitive behind the cluster
@@ -17,6 +18,13 @@ import (
 // functions of the observation multiset alone, independent of merge
 // order and worker count — unlike percentiles over concatenated
 // sample slices, which cost O(observations) memory to make exact.
+//
+// Only the observed range is stored: the counts cover a window of
+// bucket indices that is allocated at the first observation and grows
+// geometrically toward whichever side a new index falls on, clamped to
+// the layout. A histogram whose observations stay within a doubling
+// holds a few dozen counts however many buckets the layout declares,
+// and an unused one holds none.
 
 // LogHistConfig fixes a LogHist's bucket layout. Two histograms can be
 // merged only when their configs are identical: the config is the wire
@@ -84,15 +92,24 @@ func (c LogHistConfig) clampIdx(idx int) int {
 	return idx
 }
 
+// edgeTables caches edges by BucketsPerDoubling. A table is a pure
+// function of its key and is never written after it is stored, so
+// every histogram with that resolution shares one read-only copy.
+var edgeTables sync.Map // int -> []float64
+
 // edges returns the sub-doubling bucket edges Exp2(k/BucketsPerDoubling)
 // for k = 0..BucketsPerDoubling-1 — the table Observe binary-searches
 // instead of taking a logarithm per observation.
 func (c LogHistConfig) edges() []float64 {
+	if thr, ok := edgeTables.Load(c.BucketsPerDoubling); ok {
+		return thr.([]float64)
+	}
 	thr := make([]float64, c.BucketsPerDoubling)
 	for k := range thr {
 		thr[k] = math.Exp2(float64(k) / float64(c.BucketsPerDoubling))
 	}
-	return thr
+	stored, _ := edgeTables.LoadOrStore(c.BucketsPerDoubling, thr)
+	return stored.([]float64)
 }
 
 // Value returns the observation a bucket reads back as: the Origin for
@@ -104,15 +121,18 @@ func (c LogHistConfig) Value(idx int) float64 {
 	return c.Origin * math.Exp2(float64(idx)/float64(c.BucketsPerDoubling))
 }
 
-// LogHist is a fixed-size logarithmic histogram with exactly tracked
-// moments. Observations feed integer bucket counts plus count, sum,
-// sum of squares, min, and max; Quantile and Summary read everything
-// back without retaining samples. The zero LogHist is not usable —
+// LogHist is a logarithmic histogram with exactly tracked moments.
+// Observations feed integer bucket counts plus count, sum, sum of
+// squares, min, and max; Quantile and Summary read everything back
+// without retaining samples. The zero LogHist is not usable —
 // construct with NewLogHist.
 type LogHist struct {
-	cfg    LogHistConfig
-	thr    []float64 // cached sub-doubling edges (cfg.edges())
+	cfg LogHistConfig
+	thr []float64 // shared sub-doubling edges (cfg.edges())
+	// counts[i] is the count of bucket off+i; buckets outside the
+	// window are empty. Nil until the first observation.
 	counts []int
+	off    int
 	n      int
 	sum    float64
 	sumSq  float64
@@ -122,12 +142,45 @@ type LogHist struct {
 
 // NewLogHist returns an empty histogram with the given layout. The
 // config must pass Validate; an invalid layout is a programming error
-// and panics rather than silently mis-bucketing.
+// and panics rather than silently mis-bucketing. No counts are
+// allocated until the first observation or merge.
 func NewLogHist(cfg LogHistConfig) *LogHist {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &LogHist{cfg: cfg, thr: cfg.edges(), counts: make([]int, cfg.Buckets)}
+	return &LogHist{cfg: cfg, thr: cfg.edges()}
+}
+
+// minWindow is the bucket count of a window's first allocation.
+const minWindow = 8
+
+// cover widens the count window to include bucket indices [lo, hi).
+// The first window is [lo, hi) centred in at least minWindow buckets;
+// later ones at least double on each side that has to grow, so a
+// histogram spreading over k buckets reallocates O(log k) times.
+func (h *LogHist) cover(lo, hi int) {
+	off, end := h.off, h.off+len(h.counts)
+	switch {
+	case h.counts == nil:
+		pad := max(minWindow-(hi-lo), 0)
+		off, end = lo-pad/2, hi+pad-pad/2
+	case lo >= off && hi <= end:
+		return
+	default:
+		n := end - off
+		if lo < off {
+			off = min(lo, off-n)
+		}
+		if hi > end {
+			end = max(hi, end+n)
+		}
+	}
+	off, end = max(off, 0), min(end, h.cfg.Buckets)
+	counts := make([]int, end-off)
+	if h.counts != nil {
+		copy(counts[h.off-off:], h.counts)
+	}
+	h.counts, h.off = counts, off
 }
 
 // Config returns the histogram's bucket layout.
@@ -149,7 +202,11 @@ func (h *LogHist) Observe(x float64) {
 	case math.IsInf(v, 1):
 		v = h.cfg.Value(h.cfg.Buckets - 1)
 	}
-	h.counts[h.bucket(x)]++
+	idx := h.bucket(x)
+	if uint(idx-h.off) >= uint(len(h.counts)) {
+		h.cover(idx, idx+1)
+	}
+	h.counts[idx-h.off]++
 	if h.n == 0 || v < h.min {
 		h.min = v
 	}
@@ -188,8 +245,9 @@ func (h *LogHist) bucket(x float64) int {
 // Merge folds another histogram into h. Both must share the same
 // layout; merging is integer bucket addition plus moment addition, so
 // the result is independent of merge grouping (associative) and a
-// merge of per-worker histograms equals observing the union. A nil or
-// empty source is a no-op.
+// merge of per-worker histograms equals observing the union. h's
+// window widens to cover the source's. A nil or empty source is a
+// no-op.
 func (h *LogHist) Merge(o *LogHist) error {
 	if o == nil || o.n == 0 {
 		return nil
@@ -197,8 +255,10 @@ func (h *LogHist) Merge(o *LogHist) error {
 	if o.cfg != h.cfg {
 		return fmt.Errorf("stats: loghist layout mismatch %+v vs %+v", h.cfg, o.cfg)
 	}
+	h.cover(o.off, o.off+len(o.counts))
+	dst := h.counts[o.off-h.off:]
 	for i, c := range o.counts {
-		h.counts[i] += c
+		dst[i] += c
 	}
 	if h.n == 0 || o.min < h.min {
 		h.min = o.min
@@ -232,7 +292,7 @@ func (h *LogHist) Quantile(q float64) float64 {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			v = h.cfg.Value(i)
+			v = h.cfg.Value(h.off + i)
 			break
 		}
 	}

@@ -183,3 +183,175 @@ func TestLogHistEmptyAndMismatch(t *testing.T) {
 		}
 	}
 }
+
+// refHist is the full-array reference for LogHist: every bucket of
+// the layout allocated up front, indices from the per-call
+// LogHistConfig.Bucket rule, and the moments kept with the same
+// arithmetic. The windowed LogHist must read back bit-identically.
+type refHist struct {
+	cfg                 LogHistConfig
+	counts              []int
+	n                   int
+	sum, sumSq, lo, top float64
+}
+
+func newRefHist(cfg LogHistConfig) *refHist {
+	return &refHist{cfg: cfg, counts: make([]int, cfg.Buckets)}
+}
+
+func (r *refHist) observe(x float64) {
+	v := x
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, -1):
+		v = r.cfg.Origin
+	case math.IsInf(v, 1):
+		v = r.cfg.Value(r.cfg.Buckets - 1)
+	}
+	r.counts[r.cfg.Bucket(x)]++
+	r.addMoments(1, v, v, v, v*v)
+}
+
+func (r *refHist) addMoments(n int, lo, top, sum, sumSq float64) {
+	if r.n == 0 || lo < r.lo {
+		r.lo = lo
+	}
+	if r.n == 0 || top > r.top {
+		r.top = top
+	}
+	r.n += n
+	r.sum += sum
+	r.sumSq += sumSq
+}
+
+func (r *refHist) merge(o *refHist) {
+	if o.n == 0 {
+		return
+	}
+	for i, c := range o.counts {
+		r.counts[i] += c
+	}
+	r.addMoments(o.n, o.lo, o.top, o.sum, o.sumSq)
+}
+
+func (r *refHist) quantile(q float64) float64 {
+	if r.n == 0 {
+		return r.cfg.Origin
+	}
+	rank := min(max(int(math.Ceil(q*float64(r.n))), 1), r.n)
+	cum := 0
+	for i, c := range r.counts {
+		if cum += c; cum >= rank {
+			return min(max(r.cfg.Value(i), r.lo), r.top)
+		}
+	}
+	panic("counts do not sum to n")
+}
+
+func (r *refHist) summary() Summary {
+	if r.n == 0 {
+		return Summary{}
+	}
+	mean := r.sum / float64(r.n)
+	return Summary{
+		N: r.n, Mean: mean, StdDev: math.Sqrt(max(r.sumSq/float64(r.n)-mean*mean, 0)),
+		Min: r.lo, P5: r.quantile(0.05), P25: r.quantile(0.25), Median: r.quantile(0.5),
+		P75: r.quantile(0.75), P95: r.quantile(0.95), P99: r.quantile(0.99), Max: r.top,
+	}
+}
+
+// TestLogHistMatchesReference drives windowed histograms and their
+// full-array references through the same random Observe/Merge
+// sequence. Each histogram observes around its own home doubling, so
+// merges see disjoint, nested, and overlapping windows; the stream
+// mixes in NaN, ±Inf, values at or below the origin and values past
+// the top edge, and merges from nil and empty sources.
+func TestLogHistMatchesReference(t *testing.T) {
+	layouts := []LogHistConfig{
+		testLogHistConfig(),
+		{Origin: 1e-3, BucketsPerDoubling: 32, Buckets: 1280},
+		{Origin: 0.5, BucketsPerDoubling: 4, Buckets: 24},
+	}
+	qs := []float64{0, 0.001, 0.05, 0.5, 0.9, 0.99, 0.999, 1}
+	for li, cfg := range layouts {
+		r := NewRand(uint64(41 + li))
+		const k = 5
+		hs := make([]*LogHist, k)
+		refs := make([]*refHist, k)
+		homes := make([]float64, k) // log2(x/Origin) each histogram centers on
+		doublings := float64(cfg.Buckets) / float64(cfg.BucketsPerDoubling)
+		for i := range hs {
+			hs[i], refs[i] = NewLogHist(cfg), newRefHist(cfg)
+			homes[i] = r.Uniform(-1, doublings+1)
+		}
+		for step := 0; step < 20000; step++ {
+			i := int(r.Uint64() % k)
+			switch op := r.Uint64() % 100; {
+			case op < 3: // merge from a nil source
+				if err := hs[i].Merge(nil); err != nil {
+					t.Fatal(err)
+				}
+			case op < 8: // merge another histogram (possibly empty)
+				j := int(r.Uint64() % k)
+				if j == i {
+					continue
+				}
+				if err := hs[i].Merge(hs[j]); err != nil {
+					t.Fatal(err)
+				}
+				refs[i].merge(refs[j])
+				if r.Uint64()%2 == 0 { // restart the source empty
+					hs[j], refs[j] = NewLogHist(cfg), newRefHist(cfg)
+				}
+			default:
+				var x float64
+				switch op % 10 {
+				case 0:
+					x = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -3, cfg.Origin}[r.Uint64()%6]
+				case 1: // past the top edge: clamps into the top bucket
+					x = cfg.Value(cfg.Buckets-1) * r.Uniform(1, 1e6)
+				default:
+					x = cfg.Origin * math.Exp2(homes[i]+r.Uniform(-1.5, 1.5))
+				}
+				hs[i].Observe(x)
+				refs[i].observe(x)
+			}
+			h, ref := hs[i], refs[i]
+			if h.N() != ref.n {
+				t.Fatalf("layout %d step %d: N %d, reference %d", li, step, h.N(), ref.n)
+			}
+			for _, q := range qs {
+				if a, b := h.Quantile(q), ref.quantile(q); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("layout %d step %d: Quantile(%v) = %v, reference %v", li, step, q, a, b)
+				}
+			}
+			if a, b := h.Summary(), ref.summary(); a != b {
+				t.Fatalf("layout %d step %d: Summary\n%+v\nreference\n%+v", li, step, a, b)
+			}
+		}
+	}
+}
+
+// TestLogHistWindowSizedByObservations pins the storage rule: a fresh
+// histogram holds no counts, and observations confined to one doubling
+// hold a window of a few dozen buckets, not the layout's 1280.
+func TestLogHistWindowSizedByObservations(t *testing.T) {
+	cfg := LogHistConfig{Origin: 1e-3, BucketsPerDoubling: 32, Buckets: 1280}
+	h := NewLogHist(cfg)
+	if h.counts != nil {
+		t.Fatalf("NewLogHist allocated %d counts before any observation", len(h.counts))
+	}
+	r := NewRand(5)
+	for i := 0; i < 10000; i++ {
+		h.Observe(r.Uniform(40, 80))
+	}
+	if limit := 2*cfg.BucketsPerDoubling + minWindow; cap(h.counts) > limit {
+		t.Errorf("one doubling of observations holds %d buckets, want at most %d", cap(h.counts), limit)
+	}
+	merged := NewLogHist(cfg)
+	if err := merged.Merge(h); err != nil {
+		t.Fatal(err)
+	}
+	if len(merged.counts) != len(h.counts) {
+		t.Errorf("merge into an empty histogram holds %d buckets, source %d", len(merged.counts), len(h.counts))
+	}
+}
